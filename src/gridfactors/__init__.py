@@ -48,8 +48,10 @@ from .factors_base import (
 )
 from .single_mod import (
     BranchDelta,
+    OutageFactors,
     lcdf_column,
     lodf_column,
+    outage_factors,
     post_outage_angle_diff,
     ptdf_after_mod,
     updated_inverse,

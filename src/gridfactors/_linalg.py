@@ -12,6 +12,10 @@ from .errors import IslandingError
 #: smallest acceptable LU pivot, relative to the natural scale of the system
 PIVOT_RTOL = 1e-10
 
+#: relative tolerance of the outage islanding zero test on ``1 - b_e t_e``,
+#: scaled by the transfer term ``b_e t_e``
+OUTAGE_RTOL = 1e-8
+
 
 def guarded_solve(
     M: np.ndarray, rhs: np.ndarray, context: str, scale: float = 0.0

@@ -18,10 +18,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._linalg import guarded_solve
+from ._linalg import OUTAGE_RTOL, guarded_solve
 from .errors import DegenerateSwitchError, GridStructureError, IslandingError
 from .factors_base import FactorMatrix, PTDF
 from .grid_model import Bus, Grid, GroundedSystem, build_incidence
+from .single_mod import lodf_tail
 
 PARENT = "parent"
 NEW = "new"
@@ -364,16 +365,13 @@ def lodf_after_split(tri: TriConfig, branch: int) -> np.ndarray:
     z = tri.B_c_inv @ nu_e + g_nu * (float(g_nu @ nu_e) / s_val)  # B_o^-1 nu_e
     transfer = float(nu_e @ z)
     denom = 1.0 - b_e * transfer
-    if abs(denom) <= 1e-8 * max(1.0, abs(b_e * transfer)):
+    if abs(denom) <= OUTAGE_RTOL * max(1.0, abs(b_e * transfer)):
         raise IslandingError(
             f"outage of branch {branch} islands the split grid",
             criterion=denom,
         )
-    b_m = tri.b_o.copy()
-    b_m[e] = 0.0
-    col = (b_m * (tri.E_o_r.T @ z)) / denom
-    col[e] = -1.0
-    return col
+    g = (tri.E_o_r.T @ z)[:, None]
+    return lodf_tail(tri.b_o, g, np.array([denom]), [e], np.array([False]))[:, 0]
 
 
 # --- bus split: idle-bus route ------------------------------------------------

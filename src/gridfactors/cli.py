@@ -14,7 +14,6 @@ import itertools
 import json
 import os
 import sys as _sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -34,10 +33,9 @@ from . import (
     bench_update_vs_rebuild,
     build_grounded_system,
     grid_from_json,
-    lodf_column,
     multi_merge_inverse,
     multi_split_inverse,
-    outage_islands,
+    outage_factors,
     pad_inverse,
     parse_matpower,
     psdf_matrix,
@@ -56,14 +54,8 @@ EXIT_PARSE = 2
 EXIT_DISCONNECTED = 3
 EXIT_ISLANDS = 4
 
-
-def _max_workers() -> int:
-    raw = os.environ.get("GRIDFACTORS_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return max(1, n) if n else min(8, os.cpu_count() or 1)
+#: target size of one m x k LODF block in the n-1 sweep
+N1_BLOCK_BYTES = 4 << 20
 
 
 def load_case(path: str) -> tuple[Grid, float]:
@@ -361,38 +353,29 @@ def cmd_n1(args) -> int:
             return EXIT_ISLANDS
     else:
         sys = build_grounded_system(grid)
-    state = solve_flow(sys)
-    candidates = [br for br in grid.branches if br.in_service]
-
-    def screen(br):
-        islands, criterion = outage_islands(sys, br.id)
-        if islands:
-            return {
-                "branch": br.id,
-                "from": br.from_bus,
-                "to": br.to_bus,
-                "islands": True,
-                "criterion": criterion,
-                "post_max_flow": float("nan"),
-            }
-        col = lodf_column(sys, br.id)
-        e = grid.branch_index[br.id]
-        post = state.flows + col * state.flows[e]
-        return {
-            "branch": br.id,
-            "from": br.from_bus,
-            "to": br.to_bus,
-            "islands": False,
-            "criterion": criterion,
-            "post_max_flow": float(np.max(np.abs(post))) * base,
-        }
-
-    workers = _max_workers()
-    if workers > 1 and len(candidates) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(screen, candidates))
-    else:
-        results = [screen(br) for br in candidates]
+    f = solve_flow(sys).flows
+    candidates = np.flatnonzero([br.in_service for br in grid.branches])
+    # blocks of outages keep every m x k temporary near N1_BLOCK_BYTES
+    block = max(1, N1_BLOCK_BYTES // (8 * max(1, grid.n_branches)))
+    results = []
+    for start in range(0, len(candidates), block):
+        cols = candidates[start : start + block]
+        out = outage_factors(sys, cols)
+        ok = ~out.islands
+        post = np.full(len(cols), np.nan)
+        post[ok] = np.abs(f[:, None] + out.lodf[:, ok] * f[cols[ok]]).max(axis=0) * base
+        for j, e in enumerate(cols):
+            br = grid.branches[e]
+            results.append(
+                {
+                    "branch": br.id,
+                    "from": br.from_bus,
+                    "to": br.to_bus,
+                    "islands": bool(out.islands[j]),
+                    "criterion": float(out.criterion[j]),
+                    "post_max_flow": float(post[j]),
+                }
+            )
     results.sort(
         key=lambda r: (
             not r["islands"],

@@ -283,6 +283,19 @@ class GroundedSystem:
         """Dimension of the grounded coordinates (buses minus slack)."""
         return len(self.bus_ids)
 
+    @cached_property
+    def branch_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Grounded row of each branch's from bus and to bus, in branch order.
+
+        The slack has no grounded row and maps to ``n``, a pad index that
+        kernels gathering rows of ``B^-1`` on branch endpoints keep at zero.
+        """
+        n, pos, branches = self.n, self.index_map, self.grid.branches
+        frm = np.array([pos.get(br.from_bus, n) for br in branches], dtype=np.intp)
+        to = np.array([pos.get(br.to_bus, n) for br in branches], dtype=np.intp)
+        _freeze(frm, to)
+        return frm, to
+
     def nu(self, branch_id: int) -> np.ndarray:
         """Terminal incidence vector of a branch in grounded coordinates."""
         return self.E_r[:, self.grid.branch_index[branch_id]]

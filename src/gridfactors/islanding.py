@@ -12,28 +12,24 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from ._linalg import OUTAGE_RTOL  # noqa: F401 - the outage islanding tolerance
 from .bus_topology import TriConfig, split_criterion
 from .errors import GridStructureError
 from .grid_model import Grid, GroundedSystem, connected_components
-
-#: relative tolerance of the outage islanding zero test
-OUTAGE_RTOL = 1e-8
+from .single_mod import outage_factors
 
 
 def outage_islands(sys: GroundedSystem, branch: int) -> tuple[bool, float]:
     """Whether outaging ``branch`` disconnects the grid, plus the criterion.
 
     Returns ``(islands, 1 - b_e nu^T B^-1 nu)``; the scalar is compared to
-    zero with a tolerance scaled by the transfer term.
+    zero with ``OUTAGE_RTOL`` scaled by the transfer term.
     """
     e = sys.grid.branch_index.get(branch)
     if e is None:
         raise GridStructureError(f"unknown branch {branch}")
-    nu = sys.E_r[:, e]
-    transfer = sys.b[e] * float(nu @ (sys.B_inv @ nu))
-    criterion = 1.0 - transfer
-    islands = abs(criterion) <= OUTAGE_RTOL * max(1.0, abs(transfer))
-    return islands, criterion
+    out = outage_factors(sys, [e])
+    return bool(out.islands[0]), float(out.criterion[0])
 
 
 def split_islands(tri: TriConfig, which: int = 0) -> tuple[bool, float]:

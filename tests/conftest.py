@@ -67,6 +67,27 @@ def add_switches(grid, pairs, first_id=1000):
     )
 
 
+def screening_grid(seed, n_buses, avg_degree=2.4):
+    """Seeded random grid holding every branch case the outage sweep meets.
+
+    ``random_grid`` brings bridges (its spanning tree), branches at the
+    slack bus 1 (its first branch is always (1, 2)) and sometimes parallel
+    pairs. Added on top: a reversed parallel copy of the first branch, an
+    out-of-service zero-susceptance line and an open switch.
+    """
+    grid = random_grid(seed, n_buses, avg_degree)
+    rng = np.random.default_rng(seed)
+    i, j = rng.choice(n_buses, 2, replace=False) + 1
+    k, l = rng.choice(n_buses, 2, replace=False) + 1
+    first, nxt = grid.branches[0], max(grid.branch_ids) + 1
+    extra = (
+        Branch(id=nxt, from_bus=first.to_bus, to_bus=first.from_bus, susceptance=0.7),
+        Branch(id=nxt + 1, from_bus=int(i), to_bus=int(j), susceptance=0.0),
+        Branch(id=nxt + 2, from_bus=int(k), to_bus=int(l), susceptance=0.0, kind="switch"),
+    )
+    return Grid(buses=grid.buses, branches=grid.branches + extra)
+
+
 @pytest.fixture(scope="session")
 def ww_case():
     return case6ww()

@@ -1,13 +1,16 @@
+import concurrent.futures
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
 
-from gridfactors import grid_to_json
+from gridfactors import cli, grid_to_json
 from gridfactors.cases import case6ww_text
 from gridfactors.cli import main
 
-from conftest import triangle, two_bus
+from conftest import screening_grid, triangle, two_bus
 
 
 @pytest.fixture()
@@ -275,3 +278,77 @@ def test_shift_flag_changes_flows(ww_path, capsys):
     rows0 = [json.loads(ln) for ln in capsys.readouterr().out.strip().splitlines()]
     flows_base = {r["branch"]: r["flow"] for r in rows0}
     assert flows_shifted[9] != pytest.approx(flows_base[9])
+
+
+def _n1_jsonl(path, capsys):
+    assert main(["n1", str(path), "--format", "jsonl"]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_n1_matches_per_branch_calls(seed, tmp_path, capsys, monkeypatch):
+    from gridfactors import build_grounded_system, lodf_column, outage_islands, solve_flow
+
+    grid = screening_grid(seed, 40, 2.2)
+    path = tmp_path / "grid.json"
+    path.write_text(grid_to_json(grid))
+    text = _n1_jsonl(path, capsys)
+    # blocks of 7 outages: the sweep crosses several block boundaries
+    monkeypatch.setattr(cli, "N1_BLOCK_BYTES", 8 * grid.n_branches * 7)
+    assert _n1_jsonl(path, capsys) == text
+    rows = [json.loads(ln) for ln in text.strip().splitlines()]
+
+    live = [br for br in grid.branches if br.in_service]
+    assert sorted(r["branch"] for r in rows) == sorted(br.id for br in live)
+    assert any(r["islands"] for r in rows) and not all(r["islands"] for r in rows)
+
+    sys = build_grounded_system(grid)
+    f = solve_flow(sys).flows
+    by_branch = {r["branch"]: r for r in rows}
+    for br in live:
+        row = by_branch[br.id]
+        islands, criterion = outage_islands(sys, br.id)
+        assert row["islands"] is islands
+        assert row["criterion"] == pytest.approx(criterion, rel=1e-9, abs=1e-12)
+        if islands:
+            assert math.isnan(row["post_max_flow"])
+            continue
+        col = lodf_column(sys, br.id)
+        want = float(np.max(np.abs(f + col * f[grid.branch_index[br.id]])))
+        assert row["post_max_flow"] == pytest.approx(want, rel=1e-9)
+
+    keys = [
+        (not r["islands"], 0.0 if r["islands"] else -r["post_max_flow"], r["branch"])
+        for r in rows
+    ]
+    assert keys == sorted(keys)
+
+
+def test_n1_all_bridge_grid_raises_no_runtime_warning(tmp_path, capsys):
+    from gridfactors import random_grid
+
+    grid = random_grid(5, 8, avg_degree=1.0)
+    path = tmp_path / "grid.json"
+    path.write_text(grid_to_json(grid))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        text = _n1_jsonl(path, capsys)
+    rows = [json.loads(ln) for ln in text.strip().splitlines()]
+    assert len(rows) == grid.n_branches
+    assert all(r["islands"] and math.isnan(r["post_max_flow"]) for r in rows)
+
+
+def test_n1_runs_without_thread_pool(ww_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("n1 started a thread pool")
+
+    monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "__init__", refuse)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    rows = [json.loads(ln) for ln in _n1_jsonl(ww_path, capsys).strip().splitlines()]
+    assert len(rows) == 11
+
+
+def test_n1_branchless_grid_prints_no_rows(tmp_path, capsys):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"buses": [{"id": 1, "slack": True}], "branches": []}))
+    assert _n1_jsonl(path, capsys).strip() == ""

@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,18 +9,28 @@ from gridfactors import (
     GridStructureError,
     IslandingError,
     build_grounded_system,
+    connected_components,
     lcdf_column,
     lodf_column,
+    outage_factors,
     outage_islands,
     post_outage_angle_diff,
     ptdf_after_mod,
     ptdf_matrix,
+    random_grid,
     rebuild_and_solve,
     solve_flow,
     updated_inverse,
 )
 
-from conftest import balanced_injections, four_cycle, rel_fro, triangle, two_bus
+from conftest import (
+    balanced_injections,
+    four_cycle,
+    rel_fro,
+    screening_grid,
+    triangle,
+    two_bus,
+)
 
 
 def outage(grid, branch_id):
@@ -192,3 +205,65 @@ def test_oracle_equivalence_sweep(small_grids):
         got = updated_inverse(sys, BranchDelta(branch=branch.id, delta_b=delta))
         ref = rebuild_and_solve(grid, deltas=[(branch.id, delta)]).B_inv
         assert rel_fro(got, ref) < 1e-8
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_outage_factors_match_dense_transfer_matrix(seed):
+    grid = screening_grid(seed, 20 + 4 * seed)
+    sys = build_grounded_system(grid)
+    cols = np.arange(grid.n_branches)
+    out = outage_factors(sys, cols)
+
+    T = sys.E_r.T @ sys.B_inv @ sys.E_r  # t_e on the diagonal
+    transfer = sys.b * np.diag(T)
+    np.testing.assert_allclose(out.transfer, transfer, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(out.criterion, 1.0 - transfer, atol=1e-12)
+
+    cut = [len(connected_components(grid, removed_branches=[br.id])) > 1
+           for br in grid.branches]
+    np.testing.assert_array_equal(out.islands, cut)
+    assert out.islands.any() and not out.islands.all()
+
+    ok = ~out.islands
+    ref = (sys.b[:, None] * T[:, ok]) / (1.0 - transfer[ok])
+    ref[cols[ok], np.arange(ok.sum())] = -1.0
+    np.testing.assert_allclose(out.lodf[:, ok], ref, rtol=1e-9, atol=1e-12)
+    assert np.isnan(out.lodf[:, out.islands]).all()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_outage_factors_block_matches_single_branch_calls(seed):
+    grid = screening_grid(seed, 25, 2.2)
+    sys = build_grounded_system(grid)
+    live = [e for e, br in enumerate(grid.branches) if br.in_service]
+    out = outage_factors(sys, live)
+    for j, e in enumerate(live):
+        bid = grid.branches[e].id
+        islands, criterion = outage_islands(sys, bid)
+        assert islands == out.islands[j]
+        assert criterion == pytest.approx(out.criterion[j], rel=1e-12, abs=1e-15)
+        if not islands:
+            np.testing.assert_allclose(out.lodf[:, j], lodf_column(sys, bid), rtol=1e-12)
+
+
+def test_outage_factors_bridge_columns_nan_without_warnings():
+    grid = random_grid(5, 12, avg_degree=1.0)  # a tree: every branch is a bridge
+    sys = build_grounded_system(grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = outage_factors(sys, np.arange(grid.n_branches))
+    assert out.islands.all()
+    assert np.isnan(out.lodf).all()
+
+
+def test_single_outage_calls_need_no_incidence_matrix():
+    grid = screening_grid(3, 30)
+    sys = build_grounded_system(grid)
+    lean = replace(sys, E_r=None)
+    f_r = solve_flow(sys).flows
+    for br in grid.branches:
+        assert outage_islands(lean, br.id) == outage_islands(sys, br.id)
+        if not br.in_service or outage_islands(sys, br.id)[0]:
+            continue
+        np.testing.assert_array_equal(lodf_column(lean, br.id), lodf_column(sys, br.id))
+        assert post_outage_angle_diff(lean, br.id, f_r) == post_outage_angle_diff(sys, br.id, f_r)
