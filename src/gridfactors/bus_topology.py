@@ -246,7 +246,7 @@ def pad_inverse(
         resolved.append(r)
         origin[r.new_bus] = r.parent
 
-    bus_ids_o = tuple(bid for bid in grid_o.bus_ids if bid != grid_o.slack)
+    bus_ids_o = grid_o.grounded_bus_ids
     index_map_o = {bid: i for i, bid in enumerate(bus_ids_o)}
     inc_o = build_incidence(grid_o)
     E_o_r = inc_o.reduced

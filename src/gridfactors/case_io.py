@@ -36,6 +36,13 @@ class MatpowerCase:
         if self.base_mva <= 0:
             raise CaseParseError(f"baseMVA must be positive, got {self.base_mva}")
         bus_ids = set(int(b) for b in self.bus[:, 0]) if self.bus.size else set()
+        # Pd and Pg make up the injections; a NaN would pass the balance check
+        for table, col, label in ((self.bus, 2, "Pd"), (self.gen, 1, "Pg")):
+            for row in table:
+                if not np.isfinite(row[col]):
+                    raise CaseParseError(
+                        f"{label} of bus {int(row[0])} must be finite, got {row[col]}"
+                    )
         for g in self.gen:
             if int(g[0]) not in bus_ids:
                 raise CaseParseError(f"generator references unknown bus {int(g[0])}")

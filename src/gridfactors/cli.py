@@ -32,6 +32,7 @@ from . import (
     SwitchStates,
     bench_update_vs_rebuild,
     build_grounded_system,
+    compute_flows,
     grid_from_json,
     multi_merge_inverse,
     multi_split_inverse,
@@ -142,8 +143,9 @@ def _closed_switch_flows(
         return {}
     residual = np.asarray(p, dtype=float).copy()
     bidx = grid.bus_index
+    closed_set = set(closed)
     for e, br in enumerate(grid.branches):
-        if br.id in closed:
+        if br.id in closed_set:
             continue
         residual[bidx[br.from_bus]] -= flows[e]
         residual[bidx[br.to_bus]] += flows[e]
@@ -266,34 +268,28 @@ def cmd_whatif(args) -> int:
         if not switches:
             raise CaseParseError("--enumerate requires a 'switches' entry")
         kernel = SwitchKernel(sys0, switches)
+        shifts = grid.shift_angles()
+        if not shifts.any():
+            shifts = None
+        cols = [grid.branch_index[s] for s in switches]
         rows = []
         for bits in itertools.product((False, True), repeat=len(switches)):
             states = SwitchStates(switches=tuple(switches), closed=bits)
+            setting = "".join("1" if b else "0" for b in bits)
             try:
-                B = kernel.merged_inverse(states)
-                sys_m = system_from_inverse(grid, B)
-                state = solve_flow(sys_m)
-                flows = state.flows.copy()
-                closed_now = [s for s, b in zip(switches, bits) if b]
-                for sid, f in _closed_switch_flows(
-                    grid, grid.injections(), flows, closed_now
-                ).items():
-                    flows[grid.branch_index[sid]] = f
-                rows.append(
-                    {
-                        "setting": "".join("1" if b else "0" for b in bits),
-                        "max_flow": float(np.max(np.abs(flows))) * base,
-                        "islands": False,
-                    }
-                )
-            except (IslandingError, DegenerateSwitchError):
-                rows.append(
-                    {
-                        "setting": "".join("1" if b else "0" for b in bits),
-                        "max_flow": float("nan"),
-                        "islands": True,
-                    }
-                )
+                theta, switch_flows = kernel.merged_angles(states, pre.angles)
+            except DegenerateSwitchError:
+                rows.append({"setting": setting, "max_flow": float("nan"), "islands": True})
+                continue
+            flows = compute_flows(sys0, theta, shifts).flows
+            flows[cols] = switch_flows
+            rows.append(
+                {
+                    "setting": setting,
+                    "max_flow": float(np.max(np.abs(flows))) * base,
+                    "islands": False,
+                }
+            )
         _print_rows(rows, args.format)
         return EXIT_OK
 

@@ -120,9 +120,16 @@ def compute_flows(
     When ``shifts`` is given (flows driven by shift-effective injections),
     the flow over each PST branch gets its ``+ b_e * shift`` correction so
     that Kirchhoff's current law holds with the original injections.
+    ``E^T theta`` is read off the branch endpoints, the slack at angle 0.
     """
     theta = np.asarray(theta, dtype=float)
-    f = sys.b * (sys.E_r.T @ theta)
+    if theta.shape != (sys.n,):
+        raise GridStructureError(
+            f"angle vector has shape {theta.shape}, expected ({sys.n},)"
+        )
+    frm, to = sys.branch_ends
+    padded = np.append(theta, 0.0)
+    f = sys.b * (padded[frm] - padded[to])
     if shifts is not None:
         f = f + sys.b * np.asarray(shifts, dtype=float)
     return FlowState(

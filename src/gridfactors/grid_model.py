@@ -11,6 +11,7 @@ topology updates) works on the dense inverse of that grounded matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -37,6 +38,12 @@ class Bus:
     id: int
     injection: float = 0.0
     is_slack: bool = False
+
+    def __post_init__(self):
+        if not math.isfinite(self.injection):
+            raise GridStructureError(
+                f"bus {self.id}: injection must be finite, got {self.injection}"
+            )
 
 
 @dataclass(frozen=True)
@@ -132,13 +139,18 @@ class Grid:
     def n_branches(self) -> int:
         return len(self.branches)
 
-    @property
+    @cached_property
     def slack(self) -> int:
         return next(b.id for b in self.buses if b.is_slack)
 
     @cached_property
     def bus_ids(self) -> tuple[int, ...]:
         return tuple(b.id for b in self.buses)
+
+    @cached_property
+    def grounded_bus_ids(self) -> tuple[int, ...]:
+        """Bus ids without the slack, in bus order: the grounded coordinates."""
+        return tuple(b.id for b in self.buses if not b.is_slack)
 
     @cached_property
     def branch_ids(self) -> tuple[int, ...]:
@@ -300,10 +312,17 @@ class GroundedSystem:
         """Terminal incidence vector of a branch in grounded coordinates."""
         return self.E_r[:, self.grid.branch_index[branch_id]]
 
+    @cached_property
+    def _non_slack_rows(self) -> np.ndarray:
+        rows = np.array(
+            [i for i, b in enumerate(self.grid.buses) if not b.is_slack], dtype=np.intp
+        )
+        _freeze(rows)
+        return rows
+
     def reduce(self, p_full: np.ndarray) -> np.ndarray:
         """Drop the slack entry from a full bus vector."""
-        keep = [i for i, b in enumerate(self.grid.buses) if not b.is_slack]
-        return np.asarray(p_full, dtype=float)[keep]
+        return np.asarray(p_full, dtype=float)[self._non_slack_rows]
 
     def expand(self, x_reduced: np.ndarray, slack_value: float = 0.0) -> np.ndarray:
         """Insert the slack entry back into a grounded-coordinate vector."""
@@ -349,7 +368,7 @@ def build_grounded_system(grid: Grid) -> GroundedSystem:
         raise IslandingError(f"grounded matrix is singular: {exc}") from exc
     B_inv = scipy.linalg.cho_solve(chol, np.eye(B.shape[0]))
     B_inv = 0.5 * (B_inv + B_inv.T)
-    bus_ids = tuple(bid for bid in grid.bus_ids if bid != grid.slack)
+    bus_ids = grid.grounded_bus_ids
     index_map = {bid: i for i, bid in enumerate(bus_ids)}
     _freeze(B, B_inv)
     return GroundedSystem(
@@ -372,7 +391,7 @@ def system_from_inverse(grid: Grid, B_inv: np.ndarray) -> GroundedSystem:
     is performed and ``B`` is left unset.
     """
     inc = build_incidence(grid)
-    bus_ids = tuple(bid for bid in grid.bus_ids if bid != grid.slack)
+    bus_ids = grid.grounded_bus_ids
     B_inv = np.asarray(B_inv, dtype=float)
     if B_inv.shape != (len(bus_ids), len(bus_ids)):
         raise GridStructureError(

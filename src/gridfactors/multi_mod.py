@@ -178,18 +178,47 @@ class SwitchKernel:
         xi = self.xi(states)
         if not xi.any():
             return self.sys.B_inv
+        X = self._closure_solve(states, xi, self.W.T)
+        B_m_inv = self.sys.B_inv - (self.W * xi) @ X
+        return 0.5 * (B_m_inv + B_m_inv.T)
+
+    def merged_angles(
+        self, states: SwitchStates, theta: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Angles after the given switch closures, and the flows over the switches.
+
+        ``theta`` holds the reference angles ``B_r^-1 p`` for some injections
+        ``p``. With ``z = (K_d + (K - K_d) Xi)^-1 U^T theta`` the merged angles
+        are ``theta - W (xi * z)``, and ``xi * z`` is the flow over each
+        switch (from bus to to bus; zero for open ones): the ideal limit of
+        ``(S^-1 + K)^-1 U^T theta`` for switch susceptances ``S``. One M x M
+        solve, no n x n inverse.
+        """
+        xi = self.xi(states)
+        theta = np.asarray(theta, dtype=float)
+        if not xi.any():
+            return theta, np.zeros(len(self.switches))
+        y = xi * self._closure_solve(states, xi, self.U.T @ theta)
+        return theta - self.W @ y, y
+
+    def _closure_solve(
+        self, states: SwitchStates, xi: np.ndarray, rhs: np.ndarray
+    ) -> np.ndarray:
+        """Solve the closure bracket ``(K_d + (K - K_d) Xi) x = rhs``.
+
+        A singular bracket is diagnosed as a redundant closing or a
+        degenerate system, both raised as DegenerateSwitchError.
+        """
         bracket = np.diag(self.K_d) + (self.K - np.diag(self.K_d)) * xi
         try:
-            X = guarded_solve(
+            return guarded_solve(
                 bracket,
-                self.W.T,
+                rhs,
                 context="multi-switch merge",
                 scale=np.abs(self.K).max(),
             )
         except IslandingError as exc:
             raise self._diagnose_singular(states) from exc
-        B_m_inv = self.sys.B_inv - (self.W * xi) @ X
-        return 0.5 * (B_m_inv + B_m_inv.T)
 
     def _diagnose_singular(self, states: SwitchStates) -> DegenerateSwitchError:
         """Tell a redundant closing apart from corrupt data.

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,27 @@ def screening_grid(seed, n_buses, avg_degree=2.4):
         Branch(id=nxt + 2, from_bus=int(k), to_bus=int(l), susceptance=0.0, kind="switch"),
     )
     return Grid(buses=grid.buses, branches=grid.branches + extra)
+
+
+def sweep_grid(seed, n_buses, n_switches=4):
+    """Seeded random grid with two phase shifters and open switches.
+
+    The first switch touches the slack bus 1 and the last one runs reversed
+    across the same pair, so closing both is a redundant closing; the others
+    join random bus pairs. Returns the grid and the switch ids.
+    """
+    grid = random_grid(seed, n_buses, 2.4)
+    rng = np.random.default_rng(seed)
+    branches = list(grid.branches)
+    for i in rng.choice(len(branches), size=2, replace=False):
+        shift = float(rng.uniform(-0.2, 0.2))
+        branches[int(i)] = replace(branches[int(i)], kind="pst", shift_angle=shift)
+    pairs = [(1, int(rng.integers(2, n_buses + 1)))]
+    while len(pairs) < n_switches - 1:
+        i, j = rng.choice(n_buses, 2, replace=False) + 1
+        pairs.append((int(i), int(j)))
+    pairs.append(pairs[0][::-1])
+    return add_switches(Grid(buses=grid.buses, branches=tuple(branches)), pairs)
 
 
 @pytest.fixture(scope="session")

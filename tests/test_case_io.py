@@ -219,3 +219,25 @@ def test_case6ww_ptdf_export_dimensions(ww_sys, tmp_path):
     write_factors(ptdf_matrix(ww_sys), path)
     matrix = read_factors(path)
     assert matrix.values.shape == (11, 5)
+
+
+@pytest.mark.parametrize("token", ['"NaN"', "NaN", '"inf"', "-Infinity"])
+def test_json_non_finite_injection_rejected(token):
+    text = grid_to_json(two_bus(b=1.0, slack=2, p=0.5)).replace("0.5", token, 1)
+    assert token in text
+    with pytest.raises(CaseParseError, match="bus 1: injection must be finite"):
+        grid_from_json(text)
+
+
+@pytest.mark.parametrize(
+    "old, new, label",
+    [
+        ("\t4\t1\t70\t", "\t4\t1\tNaN\t", "Pd of bus 4"),
+        ("\t3\t60\t0\t", "\t3\tInf\t0\t", "Pg of bus 3"),
+    ],
+)
+def test_matpower_non_finite_power_rejected(old, new, label):
+    text = case6ww_text()
+    assert old in text
+    with pytest.raises(CaseParseError, match=label):
+        parse_matpower(text.replace(old, new, 1))

@@ -1,16 +1,23 @@
 import concurrent.futures
+import contextlib
+import io
+import itertools
 import json
 import math
+import tempfile
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gridfactors import cli, grid_to_json
+from gridfactors import Grid, cli, grid_to_json, random_grid
 from gridfactors.cases import case6ww_text
 from gridfactors.cli import main
 
-from conftest import screening_grid, triangle, two_bus
+from conftest import add_switches, screening_grid, sweep_grid, triangle, two_bus
 
 
 @pytest.fixture()
@@ -352,3 +359,130 @@ def test_n1_branchless_grid_prints_no_rows(tmp_path, capsys):
     path = tmp_path / "grid.json"
     path.write_text(json.dumps({"buses": [{"id": 1, "slack": True}], "branches": []}))
     assert _n1_jsonl(path, capsys).strip() == ""
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("nan_pd.m", case6ww_text().replace("\t4\t1\t70\t", "\t4\t1\tNaN\t", 1)),
+        ("nan_inj.json", grid_to_json(two_bus(p=0.5)).replace("0.5", '"NaN"', 1)),
+    ],
+)
+def test_non_finite_injection_exit_2(name, text, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["flows", str(path)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+def _enumerate_rows(grid, switches, tmp_path, capsys):
+    path = tmp_path / "sweep.json"
+    path.write_text(grid_to_json(grid))
+    doc = {"switches": {str(s): "closed" for s in switches}}
+    argv = ["whatif", str(path), "--mods", json.dumps(doc), "--enumerate",
+            "--format", "jsonl"]
+    assert main(argv) == 0
+    return [json.loads(ln) for ln in capsys.readouterr().out.strip().splitlines()]
+
+
+@pytest.mark.parametrize("seed", [4, 17, 29])
+def test_whatif_enumerate_matches_per_setting_inverse(seed, tmp_path, capsys):
+    from gridfactors import (
+        DegenerateSwitchError, SwitchKernel, SwitchStates, build_grounded_system,
+        solve_flow, system_from_inverse,
+    )
+
+    grid, sids = sweep_grid(seed, 24, n_switches=5)
+    rows = _enumerate_rows(grid, sids, tmp_path, capsys)
+    kernel = SwitchKernel(build_grounded_system(grid), sids)
+    settings = list(itertools.product((False, True), repeat=len(sids)))
+    assert [r["setting"] for r in rows] == [
+        "".join("1" if b else "0" for b in bits) for bits in settings
+    ]
+    for row, bits in zip(rows, settings):
+        try:
+            B = kernel.merged_inverse(SwitchStates(switches=sids, closed=bits))
+        except DegenerateSwitchError:
+            assert row["islands"] is True and math.isnan(row["max_flow"])
+            continue
+        assert row["islands"] is False
+        flows = solve_flow(system_from_inverse(grid, B)).flows.copy()
+        closed = [s for s, b in zip(sids, bits) if b]
+        recovered = cli._closed_switch_flows(grid, grid.injections(), flows, closed)
+        for sid, f in recovered.items():
+            flows[grid.branch_index[sid]] = f
+        assert row["max_flow"] == pytest.approx(np.abs(flows).max(), rel=1e-9)
+    assert sum(r["islands"] for r in rows) == 8
+
+
+def test_whatif_enumerate_forms_no_inverse_per_setting(tmp_path, capsys, monkeypatch):
+    from gridfactors import SwitchKernel
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-setting inverse route used")
+
+    monkeypatch.setattr(cli, "system_from_inverse", refuse)
+    monkeypatch.setattr(cli, "_closed_switch_flows", refuse)
+    monkeypatch.setattr(SwitchKernel, "merged_inverse", refuse)
+    grid, sids = sweep_grid(6, 30)
+    rows = _enumerate_rows(grid, sids, tmp_path, capsys)
+    assert len(rows) == 16
+    assert sum(r["islands"] for r in rows) == 4
+
+
+def _redundant(grid, closed):
+    """Union-find over closed switches: does one join already-merged buses?"""
+    parent = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    for sid in closed:
+        br = grid.branch(sid)
+        a, b = find(br.from_bus), find(br.to_bus)
+        if a == b:
+            return True
+        parent[a] = b
+    return False
+
+
+@st.composite
+def _sweep_cases(draw):
+    n = draw(st.integers(3, 10))
+    grid = random_grid(draw(st.integers(0, 10_000)), n, draw(st.sampled_from([1.8, 2.4, 3.2])))
+    if draw(st.booleans()):
+        first = grid.branches[0]
+        shifted = replace(first, kind="pst", shift_angle=draw(st.sampled_from([-0.2, 0.1])))
+        grid = Grid(buses=grid.buses, branches=(shifted,) + grid.branches[1:])
+    pair = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda t: t[0] != t[1])
+    pairs = draw(st.lists(pair, min_size=1, max_size=4))
+    return add_switches(grid, pairs)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(case=_sweep_cases())
+def test_enumerate_rows_agree_with_rebuild_or_flag_redundancy(case):
+    from gridfactors import rebuild_and_solve
+
+    grid, sids = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/grid.json"
+        with open(path, "w") as fh:
+            fh.write(grid_to_json(grid))
+        doc = json.dumps({"switches": {str(s): "open" for s in sids}})
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["whatif", path, "--mods", doc, "--enumerate", "--format", "jsonl"]) == 0
+    rows = [json.loads(ln) for ln in out.getvalue().splitlines()]
+    settings_ = list(itertools.product((False, True), repeat=len(sids)))
+    assert len(rows) == len(settings_)
+    for row, bits in zip(rows, settings_):
+        closed = [s for s, b in zip(sids, bits) if b]
+        assert row["islands"] == _redundant(grid, closed), row
+        if row["islands"]:
+            continue
+        # closed switches are emulated by 1e9 lines, good to about 1e-5
+        ref = rebuild_and_solve(grid, closed_switches=closed).flow.flows
+        assert row["max_flow"] == pytest.approx(np.abs(ref).max(), rel=1e-5, abs=1e-5)

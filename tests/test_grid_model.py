@@ -160,3 +160,15 @@ def test_parallel_branches_allowed():
     )
     sys = build_grounded_system(Grid(buses=buses, branches=branches))
     np.testing.assert_allclose(sys.B, [[3.0]])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_injection_rejected(bad):
+    with pytest.raises(GridStructureError, match="bus 2: injection must be finite"):
+        Bus(id=2, injection=bad)
+    # a NaN would otherwise pass the balance check, abs(nan) > tol being False
+    with pytest.raises(GridStructureError, match="finite"):
+        Grid(
+            buses=(Bus(id=1, is_slack=True), Bus(id=2, injection=bad)),
+            branches=(Branch(id=1, from_bus=1, to_bus=2, susceptance=1.0),),
+        )

@@ -13,6 +13,7 @@ from gridfactors import (
     SwitchKernel,
     SwitchStates,
     build_grounded_system,
+    compute_flows,
     merge_inverse,
     multi_merge_inverse,
     multi_ptdf,
@@ -21,6 +22,7 @@ from gridfactors import (
     ptdf_matrix,
     random_grid,
     rebuild_and_solve,
+    solve_flow,
     split_inverse,
     system_from_inverse,
     updated_inverse,
@@ -28,7 +30,7 @@ from gridfactors import (
     xi_from_states,
 )
 
-from conftest import add_switches, four_cycle, rel_fro, triangle
+from conftest import add_switches, four_cycle, rel_fro, sweep_grid, triangle
 
 
 def test_single_entry_reduces_to_sherman_morrison(small_grids):
@@ -281,3 +283,86 @@ def test_cascaded_split_of_new_bus():
     except IslandingError:
         pytest.skip("cascade islanded this sample")
     assert rel_fro(got, ref.B_inv) < 1e-7
+
+
+# --- closure solves on the angles ----------------------------------------------
+
+
+def _sweep(grid, sids):
+    """Kernel, reference angles and shifts for sweeping one switch list."""
+    sys = build_grounded_system(grid)
+    shifts = grid.shift_angles()
+    return sys, SwitchKernel(sys, sids), solve_flow(sys).angles, shifts
+
+
+@pytest.mark.parametrize("seed", [3, 8, 21, 34])
+def test_merged_angles_match_inverse_route_and_rebuild(seed):
+    grid, sids = sweep_grid(seed, 14)
+    sys, kernel, theta0, shifts = _sweep(grid, sids)
+    switch_cols = [grid.branch_index[s] for s in sids]
+    solved = 0
+    for bits in itertools.product((False, True), repeat=len(sids)):
+        states = SwitchStates(switches=sids, closed=bits)
+        try:
+            theta, y = kernel.merged_angles(states, theta0)
+        except DegenerateSwitchError as exc:
+            with pytest.raises(DegenerateSwitchError) as again:
+                kernel.merged_inverse(states)
+            assert str(again.value) == str(exc)
+            continue
+        flows = compute_flows(sys, theta, shifts).flows
+
+        via_inverse = solve_flow(system_from_inverse(grid, kernel.merged_inverse(states)))
+        np.testing.assert_allclose(theta, via_inverse.angles, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(flows, via_inverse.flows, rtol=1e-9, atol=1e-12)
+
+        flows[switch_cols] = y
+        ref = rebuild_and_solve(
+            grid, closed_switches=[s for s, c in zip(sids, bits) if c]
+        )
+        np.testing.assert_allclose(theta, ref.flow.angles, rtol=0, atol=1e-5)
+        np.testing.assert_allclose(flows, ref.flow.flows, rtol=0, atol=1e-5)
+        solved += 1
+    assert solved == 12  # the 4 settings closing both parallel switches raise
+
+
+def test_merged_angles_all_open_returns_reference():
+    grid, sids = sweep_grid(5, 12)
+    _, kernel, theta0, _ = _sweep(grid, sids)
+    states = SwitchStates(switches=sids, closed=(False,) * len(sids))
+    theta, y = kernel.merged_angles(states, theta0)
+    np.testing.assert_array_equal(theta, theta0)
+    np.testing.assert_array_equal(y, np.zeros(len(sids)))
+
+
+def test_merged_angles_redundant_triangle_raises_like_inverse():
+    grid, sids = add_switches(triangle(), [(1, 2), (2, 3), (1, 3)])
+    _, kernel, theta0, _ = _sweep(grid, sids)
+    states = SwitchStates(switches=sids, closed=(True, True, True))
+    with pytest.raises(DegenerateSwitchError, match="redundant") as got:
+        kernel.merged_angles(states, theta0)
+    with pytest.raises(DegenerateSwitchError) as want:
+        kernel.merged_inverse(states)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("seed", [3, 13, 55])
+def test_merged_angles_switch_flows_equal_kcl_recovery(seed):
+    from gridfactors.cli import _closed_switch_flows
+
+    grid, sids = sweep_grid(seed, 16)
+    sys, kernel, theta0, shifts = _sweep(grid, sids)
+    checked = 0
+    for bits in itertools.product((False, True), repeat=len(sids)):
+        closed = [s for s, c in zip(sids, bits) if c]
+        try:
+            theta, y = kernel.merged_angles(SwitchStates(sids, bits), theta0)
+        except DegenerateSwitchError:
+            continue
+        flows = compute_flows(sys, theta, shifts).flows
+        kcl = _closed_switch_flows(grid, grid.injections(), flows, closed)
+        for k, s in enumerate(sids):
+            want = kcl.get(s, 0.0)
+            assert y[k] == pytest.approx(want, rel=1e-9, abs=1e-12), (bits, s)
+        checked += len(closed)
+    assert checked >= 6
