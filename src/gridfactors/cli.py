@@ -269,9 +269,7 @@ def cmd_whatif(args) -> int:
             raise CaseParseError("--enumerate requires a 'switches' entry")
         kernel = SwitchKernel(sys0, switches)
         shifts = grid.shift_angles()
-        if not shifts.any():
-            shifts = None
-        cols = [grid.branch_index[s] for s in switches]
+        cols = np.array([grid.branch_index[s] for s in switches])
         rows = []
         for bits in itertools.product((False, True), repeat=len(switches)):
             states = SwitchStates(switches=tuple(switches), closed=bits)
@@ -282,7 +280,10 @@ def cmd_whatif(args) -> int:
                 rows.append({"setting": setting, "max_flow": float("nan"), "islands": True})
                 continue
             flows = compute_flows(sys0, theta, shifts).flows
-            flows[cols] = switch_flows
+            # a closed entry carries its own flow plus the closure's; an open
+            # one (a line or PST listed as a switch) keeps its computed flow
+            closed = np.array(bits)
+            flows[cols[closed]] += switch_flows[closed]
             rows.append(
                 {
                     "setting": setting,

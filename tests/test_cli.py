@@ -1,23 +1,18 @@
 import concurrent.futures
-import contextlib
-import io
 import itertools
 import json
 import math
-import tempfile
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from gridfactors import Grid, cli, grid_to_json, random_grid
+from gridfactors import Grid, build_grounded_system, cli, grid_to_json, solve_flow
 from gridfactors.cases import case6ww_text
 from gridfactors.cli import main
 
-from conftest import add_switches, screening_grid, sweep_grid, triangle, two_bus
+from conftest import screening_grid, sweep_grid, triangle, two_bus
 
 
 @pytest.fixture()
@@ -385,34 +380,68 @@ def _enumerate_rows(grid, switches, tmp_path, capsys):
     return [json.loads(ln) for ln in capsys.readouterr().out.strip().splitlines()]
 
 
-@pytest.mark.parametrize("seed", [4, 17, 29])
-def test_whatif_enumerate_matches_per_setting_inverse(seed, tmp_path, capsys):
+def _per_setting_inverse_rows(grid, switches):
+    """Enumerate settings by a merged n x n inverse, a flow solve and the
+    KCL recovery of the closed-switch flows: the reference sweep route."""
     from gridfactors import (
-        DegenerateSwitchError, SwitchKernel, SwitchStates, build_grounded_system,
-        solve_flow, system_from_inverse,
+        DegenerateSwitchError, IslandingError, SwitchKernel, SwitchStates,
+        system_from_inverse,
     )
 
-    grid, sids = sweep_grid(seed, 24, n_switches=5)
-    rows = _enumerate_rows(grid, sids, tmp_path, capsys)
-    kernel = SwitchKernel(build_grounded_system(grid), sids)
-    settings = list(itertools.product((False, True), repeat=len(sids)))
-    assert [r["setting"] for r in rows] == [
-        "".join("1" if b else "0" for b in bits) for bits in settings
-    ]
-    for row, bits in zip(rows, settings):
+    kernel = SwitchKernel(build_grounded_system(grid), switches)
+    rows = []
+    for bits in itertools.product((False, True), repeat=len(switches)):
+        setting = "".join("1" if b else "0" for b in bits)
         try:
-            B = kernel.merged_inverse(SwitchStates(switches=sids, closed=bits))
-        except DegenerateSwitchError:
-            assert row["islands"] is True and math.isnan(row["max_flow"])
+            B = kernel.merged_inverse(SwitchStates(switches=switches, closed=bits))
+            flows = solve_flow(system_from_inverse(grid, B)).flows.copy()
+        except (IslandingError, DegenerateSwitchError):
+            rows.append({"setting": setting, "max_flow": math.nan, "islands": True})
             continue
-        assert row["islands"] is False
-        flows = solve_flow(system_from_inverse(grid, B)).flows.copy()
-        closed = [s for s, b in zip(sids, bits) if b]
+        closed = [s for s, b in zip(switches, bits) if b]
         recovered = cli._closed_switch_flows(grid, grid.injections(), flows, closed)
         for sid, f in recovered.items():
             flows[grid.branch_index[sid]] = f
-        assert row["max_flow"] == pytest.approx(np.abs(flows).max(), rel=1e-9)
+        rows.append(
+            {"setting": setting, "max_flow": float(np.abs(flows).max()), "islands": False}
+        )
+    return rows
+
+
+def _assert_rows_match(rows, ref):
+    assert [r["setting"] for r in rows] == [r["setting"] for r in ref]
+    for row, want in zip(rows, ref):
+        assert row["islands"] is want["islands"], row["setting"]
+        if want["islands"]:
+            assert math.isnan(row["max_flow"])
+        else:
+            assert row["max_flow"] == pytest.approx(want["max_flow"], rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", [4, 17, 29])
+def test_whatif_enumerate_matches_per_setting_inverse(seed, tmp_path, capsys):
+    grid, sids = sweep_grid(seed, 24, n_switches=5)
+    rows = _enumerate_rows(grid, sids, tmp_path, capsys)
+    _assert_rows_match(rows, _per_setting_inverse_rows(grid, sids))
     assert sum(r["islands"] for r in rows) == 8
+
+
+@pytest.mark.parametrize("pst", [False, True])
+def test_whatif_enumerate_lines_match_per_setting_inverse(pst, ww_grid, tmp_path, capsys):
+    # lines and phase shifters listed as switches keep their own flow while
+    # open and add it to the closure's flow while closed
+    grid = ww_grid
+    if pst:
+        branches = list(grid.branches)
+        branches[2] = replace(branches[2], kind="pst", shift_angle=0.1)
+        grid = Grid(buses=grid.buses, branches=tuple(branches))
+    sids = (3, 5, 9)
+    rows = _enumerate_rows(grid, sids, tmp_path, capsys)
+    ref = _per_setting_inverse_rows(grid, sids)
+    _assert_rows_match(rows, ref)
+    base = np.abs(solve_flow(build_grounded_system(grid)).flows).max()
+    assert rows[0]["max_flow"] == pytest.approx(base, rel=1e-12)
+    assert not all(r["islands"] for r in rows[1:])
 
 
 def test_whatif_enumerate_forms_no_inverse_per_setting(tmp_path, capsys, monkeypatch):
@@ -428,61 +457,3 @@ def test_whatif_enumerate_forms_no_inverse_per_setting(tmp_path, capsys, monkeyp
     rows = _enumerate_rows(grid, sids, tmp_path, capsys)
     assert len(rows) == 16
     assert sum(r["islands"] for r in rows) == 4
-
-
-def _redundant(grid, closed):
-    """Union-find over closed switches: does one join already-merged buses?"""
-    parent = {}
-
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            x = parent[x]
-        return x
-
-    for sid in closed:
-        br = grid.branch(sid)
-        a, b = find(br.from_bus), find(br.to_bus)
-        if a == b:
-            return True
-        parent[a] = b
-    return False
-
-
-@st.composite
-def _sweep_cases(draw):
-    n = draw(st.integers(3, 10))
-    grid = random_grid(draw(st.integers(0, 10_000)), n, draw(st.sampled_from([1.8, 2.4, 3.2])))
-    if draw(st.booleans()):
-        first = grid.branches[0]
-        shifted = replace(first, kind="pst", shift_angle=draw(st.sampled_from([-0.2, 0.1])))
-        grid = Grid(buses=grid.buses, branches=(shifted,) + grid.branches[1:])
-    pair = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda t: t[0] != t[1])
-    pairs = draw(st.lists(pair, min_size=1, max_size=4))
-    return add_switches(grid, pairs)
-
-
-@settings(max_examples=40, derandomize=True, database=None, deadline=None)
-@given(case=_sweep_cases())
-def test_enumerate_rows_agree_with_rebuild_or_flag_redundancy(case):
-    from gridfactors import rebuild_and_solve
-
-    grid, sids = case
-    with tempfile.TemporaryDirectory() as tmp:
-        path = f"{tmp}/grid.json"
-        with open(path, "w") as fh:
-            fh.write(grid_to_json(grid))
-        doc = json.dumps({"switches": {str(s): "open" for s in sids}})
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert main(["whatif", path, "--mods", doc, "--enumerate", "--format", "jsonl"]) == 0
-    rows = [json.loads(ln) for ln in out.getvalue().splitlines()]
-    settings_ = list(itertools.product((False, True), repeat=len(sids)))
-    assert len(rows) == len(settings_)
-    for row, bits in zip(rows, settings_):
-        closed = [s for s, b in zip(sids, bits) if b]
-        assert row["islands"] == _redundant(grid, closed), row
-        if row["islands"]:
-            continue
-        # closed switches are emulated by 1e9 lines, good to about 1e-5
-        ref = rebuild_and_solve(grid, closed_switches=closed).flow.flows
-        assert row["max_flow"] == pytest.approx(np.abs(ref).max(), rel=1e-5, abs=1e-5)
