@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-import scipy.linalg
 
 from .errors import IslandingError
 
@@ -15,6 +12,28 @@ PIVOT_RTOL = 1e-10
 #: relative tolerance of the outage islanding zero test on ``1 - b_e t_e``,
 #: scaled by the transfer term ``b_e t_e``
 OUTAGE_RTOL = 1e-8
+
+
+def _lu_pivots(M: np.ndarray) -> np.ndarray:
+    """Magnitudes ``|U_kk|`` of the LU factorization of M with partial pivoting.
+
+    The pivot rule is LAPACK ``getrf``'s: in each column the first entry of
+    largest magnitude on or below the diagonal. A zero pivot column is left
+    unreduced, as ``getrf`` leaves it. Meant for the small M x M matrices of
+    the update kernels: one Python step per column.
+    """
+    A = np.array(M, dtype=float)
+    k_n = A.shape[0]
+    piv = np.empty(k_n)
+    for k in range(k_n):
+        p = k + int(np.argmax(np.abs(A[k:, k])))
+        if p != k:
+            A[[k, p], k:] = A[[p, k], k:]
+        piv[k] = abs(A[k, k])
+        if A[k, k] != 0.0:
+            A[k + 1 :, k] /= A[k, k]
+            A[k + 1 :, k + 1 :] -= np.outer(A[k + 1 :, k], A[k, k + 1 :])
+    return piv
 
 
 def guarded_solve(
@@ -37,14 +56,15 @@ def guarded_solve(
                 f"{context}: update matrix is singular", criterion=float(M[0, 0])
             )
         return np.asarray(rhs, dtype=float) / M[0, 0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(M)
-    diag = np.abs(np.diag(lu))
+    rhs = np.asarray(rhs, dtype=float)
+    # a NaN would pass the pivot test and come back as a NaN solution
+    if not (np.isfinite(M).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    diag = _lu_pivots(M)
     if diag.min() <= PIVOT_RTOL * max(diag.max(), scale):
         raise IslandingError(
             f"{context}: update matrix is singular (smallest pivot "
             f"{diag.min():.3g} at scale {max(diag.max(), scale):.3g})",
             criterion=float(diag.min()),
         )
-    return scipy.linalg.lu_solve((lu, piv), rhs)
+    return np.linalg.solve(M, rhs)

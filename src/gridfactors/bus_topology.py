@@ -20,7 +20,7 @@ import numpy as np
 
 from ._linalg import OUTAGE_RTOL, guarded_solve
 from .errors import DegenerateSwitchError, GridStructureError, IslandingError
-from .factors_base import FactorMatrix, PTDF
+from .factors_base import FactorMatrix, PTDF, _ptdf_rows
 from .grid_model import Bus, Grid, GroundedSystem, build_incidence
 from .single_mod import lodf_tail
 
@@ -156,7 +156,7 @@ def merged_ptdf(sys: GroundedSystem, switch: int) -> FactorMatrix:
     """PTDF of the merged grid for every branch except the switch itself."""
     B_m_inv = merge_inverse(sys, switch)
     e = sys.grid.branch_index[switch]
-    values = (sys.b[:, None] * sys.E_r.T) @ B_m_inv
+    values = _ptdf_rows(sys, B_m_inv, sys.b)
     keep = [i for i in range(sys.grid.n_branches) if i != e]
     return FactorMatrix(
         values=values[keep],

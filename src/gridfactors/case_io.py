@@ -7,13 +7,14 @@ with '%' comments; other ``mpc`` fields are read and ignored.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CaseConversionError, CaseParseError
+from .errors import CaseConversionError, CaseParseError, GridStructureError
 from .factors_base import PTDF, FactorMatrix
 from .grid_model import LINE, PST, Branch, Bus, Grid
 
@@ -252,6 +253,8 @@ def grid_from_json(text) -> Grid:
             )
             for br in doc["branches"]
         )
+    except GridStructureError as exc:
+        raise CaseParseError(f"malformed grid document: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise CaseParseError(f"malformed grid document: {exc!r}")
     return Grid(buses=buses, branches=branches)
@@ -263,26 +266,32 @@ def _col_prefix(kind: str) -> str:
     return "bus" if kind == PTDF else "branch"
 
 
-def write_factors(matrix: FactorMatrix, sink=None) -> str:
+def write_factors(matrix: FactorMatrix, sink=None) -> str | None:
     """Write a factor matrix as CSV with full double precision.
 
     Header row holds the column labels, each data row starts with its
-    branch id. Returns the CSV text; ``sink`` may be a path or a writable
-    stream.
+    branch id. ``sink`` may be a path or a writable stream, which receive
+    the CSV row by row; with no sink the CSV text is returned instead.
     """
-    prefix = _col_prefix(matrix.kind)
-    lines = ["branch," + ",".join(f"{prefix}{c}" for c in matrix.col_labels)]
-    for rid, row in zip(matrix.row_labels, matrix.values):
-        lines.append(f"{rid}," + ",".join(f"{v:.17g}" for v in row))
-    text = "\n".join(lines) + "\n"
     if sink is None:
-        return text
+        buf = io.StringIO()
+        _write_csv(matrix, buf)
+        return buf.getvalue()
     if hasattr(sink, "write"):
-        sink.write(text)
+        _write_csv(matrix, sink)
     else:
         with open(sink, "w") as fh:
-            fh.write(text)
-    return text
+            _write_csv(matrix, fh)
+    return None
+
+
+def _write_csv(matrix: FactorMatrix, fh) -> None:
+    prefix = _col_prefix(matrix.kind)
+    fh.write("branch," + ",".join(f"{prefix}{c}" for c in matrix.col_labels) + "\n")
+    # one %-template per row formats the same digits as f"{v:.17g}" per value
+    template = "%d," + ",".join(["%.17g"] * len(matrix.col_labels)) + "\n"
+    for rid, row in zip(matrix.row_labels, matrix.values):
+        fh.write(template % (rid, *row.tolist()))
 
 
 def read_factors(source, kind: str = PTDF) -> FactorMatrix:

@@ -25,6 +25,7 @@ from . import (
     FactorMatrix,
     Grid,
     GridStructureError,
+    GroundedSystem,
     IslandingError,
     ModificationSet,
     SplitSpec,
@@ -184,10 +185,7 @@ def cmd_factors(args) -> int:
         matrix = ptdf_matrix(sys)
     else:
         matrix = psdf_matrix(sys)
-    if args.out:
-        write_factors(matrix, args.out)
-    else:
-        _sys.stdout.write(write_factors(matrix))
+    write_factors(matrix, args.out or _sys.stdout)
     return EXIT_OK
 
 
@@ -222,14 +220,16 @@ def _split_from_doc(doc: dict) -> SplitSpec:
         raise CaseParseError(f"bad split specification: {exc!r}")
 
 
-def apply_modifications(grid: Grid, doc: dict):
+def apply_modifications(grid: Grid, doc: dict, sys: GroundedSystem | None = None):
     """Run the staged update pipeline: deltas, then merges, then splits.
 
     Returns the final grid and the system carrying its updated inverse;
     every stage works on the previous stage's inverse without any
-    refactorization.
+    refactorization. ``sys`` is the grounded system of ``grid`` when the
+    caller has already built it; otherwise it is built here.
     """
-    sys = build_grounded_system(grid)
+    if sys is None:
+        sys = build_grounded_system(grid)
 
     deltas = [(int(d["branch"]), float(d["db"])) for d in doc.get("deltas", [])]
     if deltas:
@@ -295,7 +295,7 @@ def cmd_whatif(args) -> int:
         return EXIT_OK
 
     try:
-        grid_m, sys_m = apply_modifications(grid, doc)
+        grid_m, sys_m = apply_modifications(grid, doc, sys0)
     except IslandingError as exc:
         print(f"modification islands the grid: {exc}", file=_sys.stderr)
         if exc.criterion is not None:

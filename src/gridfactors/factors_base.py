@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import GridStructureError
 from .grid_model import PST, Grid, GroundedSystem
@@ -87,10 +86,7 @@ def solve_angles(sys: GroundedSystem, p: np.ndarray) -> np.ndarray:
         raise GridStructureError(
             f"injection vector has shape {p.shape}, expected ({sys.grid.n_buses},)"
         )
-    p_r = sys.reduce(p)
-    if sys.chol is not None:
-        return scipy.linalg.cho_solve(sys.chol, p_r)
-    return sys.B_inv @ p_r
+    return sys.B_inv @ sys.reduce(p)
 
 
 def _shifted_injections(grid: Grid, p: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -152,19 +148,34 @@ def solve_flow(sys: GroundedSystem, p: np.ndarray | None = None) -> FlowState:
     return compute_flows(sys, theta, shifts if has_shift else None)
 
 
+def _ptdf_rows(sys: GroundedSystem, B_inv: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """PTDF values ``diag(b) E^T B_inv`` for the branches of ``sys``.
+
+    Row ``e`` is ``b_e (B_inv[from e] - B_inv[to e])``, gathered on the
+    branch endpoints with the slack on a zero pad row: O(nm), no product.
+    ``B_inv`` may be any inverse in the grounded coordinates of ``sys``,
+    such as one updated for a modification, and ``b`` the matching
+    susceptances. Rows with ``b_e = 0`` are exact +0.0 (not -0.0).
+    """
+    frm, to = sys.branch_ends
+    n = sys.n
+    padded = np.zeros((n + 1, n))
+    padded[:n] = B_inv
+    rows = padded[frm]
+    rows -= padded[to]
+    rows *= b[:, None]
+    rows[b == 0.0] = 0.0
+    return rows
+
+
 def ptdf_matrix(sys: GroundedSystem) -> FactorMatrix:
     """Reference PTDF: sensitivities of branch flows to bus injections.
 
-    Computed column-solve style from the Cholesky factor when available,
-    ``PTDF = diag(b) E^T B^-1`` with the slack column omitted.
+    ``PTDF = diag(b) E^T B^-1`` with the slack column omitted, read off the
+    rows of the grounded inverse at each branch's endpoints.
     """
-    if sys.chol is not None:
-        X = scipy.linalg.cho_solve(sys.chol, sys.E_r)  # B^-1 E_r
-    else:
-        X = sys.B_inv @ sys.E_r
-    values = (X * sys.b).T
     return FactorMatrix(
-        values=values,
+        values=_ptdf_rows(sys, sys.B_inv, sys.b),
         row_labels=sys.grid.branch_ids,
         col_labels=sys.bus_ids,
         kind=PTDF,

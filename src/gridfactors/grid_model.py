@@ -17,7 +17,6 @@ from functools import cached_property
 from typing import Iterable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import GridStructureError, IslandingError
 
@@ -276,8 +275,10 @@ class GroundedSystem:
     slack-reduced incidence matrix and ``b`` the effective branch
     susceptances, so ``B = E_r diag(b) E_r^T``.
 
-    Systems derived through low-rank updates carry ``B=None`` and no
-    Cholesky factor; the inverse is all downstream algebra needs.
+    ``chol`` is ``(L, True)`` with ``L`` the lower Cholesky factor of ``B``,
+    the proof that ``B`` is positive definite. Systems derived through
+    low-rank updates carry ``B=None`` and no Cholesky factor; the inverse is
+    all downstream algebra needs.
     """
 
     grid: Grid
@@ -363,10 +364,11 @@ def build_grounded_system(grid: Grid) -> GroundedSystem:
     B = (E_r * b) @ E_r.T
     B = 0.5 * (B + B.T)
     try:
-        chol = scipy.linalg.cho_factor(B)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - traversal catches first
+        # the Cholesky factor is the positive-definiteness guard
+        chol = (np.linalg.cholesky(B), True)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - traversal catches first
         raise IslandingError(f"grounded matrix is singular: {exc}") from exc
-    B_inv = scipy.linalg.cho_solve(chol, np.eye(B.shape[0]))
+    B_inv = np.linalg.inv(B)
     B_inv = 0.5 * (B_inv + B_inv.T)
     bus_ids = grid.grounded_bus_ids
     index_map = {bid: i for i, bid in enumerate(bus_ids)}
@@ -427,5 +429,5 @@ def pseudo_inverse_check(grid: Grid) -> np.ndarray:
     n = grid.n_buses
     J = np.full((n, n), 1.0 / n)
     shifted = B_full + J
-    plus = scipy.linalg.solve(shifted, np.eye(n), assume_a="pos") - J
+    plus = np.linalg.inv(shifted) - J
     return 0.5 * (plus + plus.T)

@@ -20,7 +20,7 @@ import numpy as np
 from ._linalg import guarded_solve
 from .bus_topology import TriConfig
 from .errors import DegenerateSwitchError, GridStructureError, IslandingError
-from .factors_base import FactorMatrix, PTDF
+from .factors_base import FactorMatrix, PTDF, _ptdf_rows
 from .grid_model import GroundedSystem
 
 #: transfer impedances below this make a switch degenerate in the closure map
@@ -94,7 +94,7 @@ def multi_ptdf(sys: GroundedSystem, mods: ModificationSet) -> FactorMatrix:
     b_m = sys.b.copy()
     for branch_id, delta in mods.entries:
         b_m[sys.grid.branch_index[branch_id]] += delta
-    values = (b_m[:, None] * sys.E_r.T) @ B_m_inv
+    values = _ptdf_rows(sys, B_m_inv, b_m)
     return FactorMatrix(
         values=values,
         row_labels=sys.grid.branch_ids,
@@ -280,7 +280,7 @@ def multi_merge_ptdf(
 ) -> FactorMatrix:
     """PTDF rows of all non-switch branches under the given closures."""
     B_m_inv = multi_merge_inverse(sys, states, kernel)
-    values = (sys.b[:, None] * sys.E_r.T) @ B_m_inv
+    values = _ptdf_rows(sys, B_m_inv, sys.b)
     keep = [
         i
         for i, br in enumerate(sys.grid.branches)

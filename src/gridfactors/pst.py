@@ -15,6 +15,7 @@ from .errors import GridStructureError
 from .factors_base import (
     FactorMatrix,
     PSDF,
+    PTDF,
     _shifted_injections,
     ptdf_matrix,
 )
@@ -73,14 +74,25 @@ def psdf_matrix(
     if ptdf is None:
         ptdf = ptdf_matrix(sys)
     b = sys.b if susceptances is None else np.asarray(susceptances, dtype=float)
+    if ptdf.kind != PTDF:
+        raise GridStructureError(f"PSDF needs a PTDF matrix, got {ptdf.kind}")
+    # the endpoint columns of every branch, gathered at once; a bus without a
+    # stored column (the slack) reads the zero pad column
+    col_of = {label: j for j, label in enumerate(ptdf.col_labels)}
+    pad = len(col_of)
+    frm = [col_of.get(br.from_bus, pad) for br in grid.branches]
+    to = [col_of.get(br.to_bus, pad) for br in grid.branches]
+    padded = np.zeros((ptdf.values.shape[0], pad + 1))
+    padded[:, :pad] = ptdf.values
+    # b_e (PTDF[:, to] - PTDF[:, from]) is -b_e (PTDF[:, from] - PTDF[:, to])
+    # bit for bit, except that exact zeros come out +0.0, never -0.0 (which
+    # prints as -0); columns with b_e = 0 stay +0.0 by the mask
+    diff = padded[:, to]
+    diff -= padded[:, frm]
     n_e = grid.n_branches
     values = np.zeros((n_e, n_e))
-    for e, br in enumerate(grid.branches):
-        if b[e] == 0.0:
-            continue
-        col = -b[e] * (ptdf.column(br.from_bus) - ptdf.column(br.to_bus))
-        col[e] += b[e]
-        values[:, e] = col
+    np.multiply(b, diff, out=values, where=b != 0.0)
+    values[np.arange(n_e), np.arange(n_e)] += b
     return FactorMatrix(
         values=values,
         row_labels=grid.branch_ids,

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._linalg import OUTAGE_RTOL
 from .errors import GridStructureError, IslandingError
-from .factors_base import FactorMatrix, PTDF
+from .factors_base import FactorMatrix, PTDF, _ptdf_rows
 from .grid_model import GroundedSystem
 
 #: relative tolerance of the scale-aware zero test on the update denominator
@@ -87,7 +87,7 @@ def ptdf_after_mod(sys: GroundedSystem, d: BranchDelta) -> FactorMatrix:
     e = sys.grid.branch_index[d.branch]
     b_m = sys.b.copy()
     b_m[e] += d.delta_b
-    values = (b_m[:, None] * sys.E_r.T) @ B_m_inv
+    values = _ptdf_rows(sys, B_m_inv, b_m)
     return FactorMatrix(
         values=values,
         row_labels=sys.grid.branch_ids,

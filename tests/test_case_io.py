@@ -9,6 +9,7 @@ from gridfactors import (
     Bus,
     CaseConversionError,
     CaseParseError,
+    FactorMatrix,
     Grid,
     build_grounded_system,
     grid_from_json,
@@ -241,3 +242,52 @@ def test_matpower_non_finite_power_rejected(old, new, label):
     assert old in text
     with pytest.raises(CaseParseError, match=label):
         parse_matpower(text.replace(old, new, 1))
+
+
+def _fstring_csv(matrix):
+    """The factor CSV as one f-string per value, joined: the reference format."""
+    prefix = "bus" if matrix.kind == "PTDF" else "branch"
+    lines = ["branch," + ",".join(f"{prefix}{c}" for c in matrix.col_labels)]
+    for rid, row in zip(matrix.row_labels, matrix.values):
+        lines.append(f"{rid}," + ",".join(f"{v:.17g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+AWKWARD = [
+    -0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e308, -1.7976931348623157e308,
+    3.0, -42.0, 1e16, 0.1, 1 / 3, float("nan"), float("inf"), float("-inf"),
+]
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        FactorMatrix(
+            values=np.array(AWKWARD * 3).reshape(9, 5),
+            row_labels=tuple(range(101, 110)),
+            col_labels=(1, 2, 4, 8, 16),
+        ),
+        FactorMatrix(
+            values=np.array(AWKWARD[:9]).reshape(3, 3),
+            row_labels=(7, 3, 5),
+            col_labels=(7, 3, 5),
+            kind="PSDF",
+        ),
+        FactorMatrix(values=np.empty((2, 0)), row_labels=(1, 2), col_labels=()),
+    ],
+    ids=["ptdf", "psdf", "no-columns"],
+)
+def test_write_factors_byte_identical_to_fstring_join(matrix, tmp_path):
+    want = _fstring_csv(matrix)
+    assert write_factors(matrix) == want
+    path = tmp_path / "factors.csv"
+    assert write_factors(matrix, path) is None
+    assert path.read_text() == want
+    stream = io.StringIO()
+    assert write_factors(matrix, stream) is None
+    assert stream.getvalue() == want
+
+
+def test_write_factors_random_ptdf_byte_identical(small_grids):
+    matrix = ptdf_matrix(build_grounded_system(small_grids[11]))
+    assert write_factors(matrix) == _fstring_csv(matrix)

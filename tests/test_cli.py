@@ -2,12 +2,16 @@ import concurrent.futures
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import gridfactors
 from gridfactors import Grid, build_grounded_system, cli, grid_to_json, solve_flow
 from gridfactors.cases import case6ww_text
 from gridfactors.cli import main
@@ -457,3 +461,45 @@ def test_whatif_enumerate_forms_no_inverse_per_setting(tmp_path, capsys, monkeyp
     rows = _enumerate_rows(grid, sids, tmp_path, capsys)
     assert len(rows) == 16
     assert sum(r["islands"] for r in rows) == 4
+
+
+def test_json_structural_error_reported_as_plain_text(tmp_path, capsys):
+    path = tmp_path / "grid.json"
+    path.write_text(grid_to_json(two_bus(p=0.5)).replace("0.5", '"NaN"', 1))
+    assert main(["flows", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "bus 1: injection must be finite, got nan" in err
+    assert "GridStructureError(" not in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [SPLIT_DOC, {"deltas": [{"branch": 2, "db": -0.3}], **SPLIT_DOC}],
+    ids=["split", "delta-split"],
+)
+def test_staged_whatif_factorizes_once(doc, ww_path, capsys, monkeypatch):
+    calls = []
+
+    def counting(grid):
+        calls.append(grid)
+        return build_grounded_system(grid)
+
+    monkeypatch.setattr(cli, "build_grounded_system", counting)
+    assert main(["whatif", ww_path, "--mods", json.dumps(doc)]) == 0
+    assert len(calls) == 1
+    if doc is SPLIT_DOC:
+        assert "max |f| = 42.233 on branch (1,7)" in capsys.readouterr().out
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gridfactors.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sys, gridfactors.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"

@@ -2,16 +2,27 @@ import numpy as np
 import pytest
 
 from gridfactors import (
+    BranchDelta,
+    ModificationSet,
+    SwitchStates,
     build_grounded_system,
     build_incidence,
     compute_flows,
+    merge_inverse,
+    merged_ptdf,
+    multi_merge_inverse,
+    multi_merge_ptdf,
+    multi_ptdf,
+    ptdf_after_mod,
     ptdf_matrix,
     random_grid,
     solve_angles,
     solve_flow,
+    updated_inverse,
+    woodbury_update,
 )
 
-from conftest import balanced_injections, triangle, two_bus
+from conftest import balanced_injections, screening_grid, sweep_grid, triangle, two_bus
 
 
 def test_zero_injection_zero_angles():
@@ -124,3 +135,57 @@ def test_flow_projection_identity(small_grids):
         f = ptdf.values @ sys.reduce(balanced_injections(grid, seed + 100))
         projected = ptdf.values @ (sys.E_r @ f)
         np.testing.assert_allclose(projected, f, atol=1e-9)
+
+
+def _dense_ptdf(sys, B_inv, b):
+    """``diag(b) E_r^T B_inv`` as a dense product: the reference for the gathers."""
+    return (b[:, None] * sys.E_r.T) @ B_inv
+
+
+def _assert_rel(values, ref):
+    assert values.shape == ref.shape
+    assert np.abs(values - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("seed", [1, 6, 23])
+def test_ptdf_rows_match_dense_product(seed):
+    # the slack bus 1 ends branch 1 and a switch; screening grids add a
+    # zero-susceptance line and a reversed parallel branch at the slack
+    for grid in (sweep_grid(seed, 30)[0], screening_grid(seed, 30)):
+        sys = build_grounded_system(grid)
+        assert any(1 in (br.from_bus, br.to_bus) for br in grid.branches)
+        values = ptdf_matrix(sys).values
+        _assert_rel(values, _dense_ptdf(sys, sys.B_inv, sys.b))
+        off = values[sys.b == 0.0]  # open switches and lines: +0.0, printed 0
+        assert not off.any() and not np.signbit(off).any()
+
+
+@pytest.mark.parametrize("seed", [1, 6, 23])
+def test_updated_ptdfs_match_dense_product(seed):
+    grid, sids = sweep_grid(seed, 30)
+    sys = build_grounded_system(grid)
+    lines = [br for br in grid.branches if br.kind == "line"]
+    at_slack = next(br for br in lines if 1 in (br.from_bus, br.to_bus))
+    other = next(br for br in lines if br.id != at_slack.id)
+
+    d = BranchDelta(branch=at_slack.id, delta_b=-0.4 * at_slack.susceptance)
+    b_m = sys.b.copy()
+    b_m[grid.branch_index[d.branch]] += d.delta_b
+    _assert_rel(
+        ptdf_after_mod(sys, d).values, _dense_ptdf(sys, updated_inverse(sys, d), b_m)
+    )
+
+    mods = ModificationSet(entries=((at_slack.id, -0.3 * at_slack.susceptance), (other.id, 0.5)))
+    b_m = sys.b.copy()
+    for branch_id, delta in mods.entries:
+        b_m[grid.branch_index[branch_id]] += delta
+    _assert_rel(multi_ptdf(sys, mods).values, _dense_ptdf(sys, woodbury_update(sys, mods), b_m))
+
+    # the first switch touches the slack; the first two close without redundancy
+    keep = [e for e, br in enumerate(grid.branches) if br.id != sids[0]]
+    dense = _dense_ptdf(sys, merge_inverse(sys, sids[0]), sys.b)[keep]
+    _assert_rel(merged_ptdf(sys, sids[0]).values, dense)
+    states = SwitchStates(switches=sids[:2], closed=(True, True))
+    keep = [e for e, br in enumerate(grid.branches) if br.id not in sids[:2]]
+    dense = _dense_ptdf(sys, multi_merge_inverse(sys, states), sys.b)[keep]
+    _assert_rel(multi_merge_ptdf(sys, states).values, dense)

@@ -17,7 +17,7 @@ from gridfactors import (
     solve_flow,
 )
 
-from conftest import balanced_injections, triangle, two_bus
+from conftest import balanced_injections, screening_grid, sweep_grid, triangle, two_bus
 
 
 def with_psts(grid, shifts):
@@ -129,3 +129,54 @@ def test_route_equivalence_survives_branch_modification():
     route = ptdf_m.values @ sys.reduce(p) + psdf_m.values @ grid.shift_angles()
     ref = rebuild_and_solve(grid, deltas=[(target.id, d.delta_b)], p=p)
     np.testing.assert_allclose(route, ref.flow.flows, atol=1e-10)
+
+
+def _psdf_loop(sys, ptdf, b):
+    """PSDF built one column per branch: the reference for the gathered form."""
+    n_e = sys.grid.n_branches
+    values = np.zeros((n_e, n_e))
+    for e, br in enumerate(sys.grid.branches):
+        if b[e] == 0.0:
+            continue
+        col = -b[e] * (ptdf.column(br.from_bus) - ptdf.column(br.to_bus))
+        col[e] += b[e]
+        values[:, e] = col
+    return values
+
+
+def _assert_loop_equal(values, loop):
+    assert np.array_equal(values, loop)
+    nonzero = values != 0.0
+    assert np.array_equal(values.view(np.int64)[nonzero], loop.view(np.int64)[nonzero])
+    assert not np.signbit(values[~nonzero]).any()  # exact zeros print as 0, not -0
+
+
+@pytest.mark.parametrize("seed", [2, 5, 13])
+def test_psdf_gather_equals_column_loop(seed):
+    # branches at the slack, a zero-susceptance line and an open switch
+    grid = screening_grid(seed, 30)
+    sys = build_grounded_system(grid)
+    assert (sys.b == 0.0).sum() == 2
+    ptdf = ptdf_matrix(sys)
+    psdf = psdf_matrix(sys, ptdf=ptdf)
+    _assert_loop_equal(psdf.values, _psdf_loop(sys, ptdf, sys.b))
+    assert not psdf.values[:, sys.b == 0.0].any()
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_psdf_gather_equals_column_loop_after_outage(seed):
+    grid, _ = sweep_grid(seed, 25)
+    sys = build_grounded_system(grid)
+    target = next(br for br in grid.branches if br.kind == "line" and br.from_bus == 1)
+    d = BranchDelta(branch=target.id, delta_b=-0.5 * target.susceptance)
+    ptdf_m = ptdf_after_mod(sys, d)
+    b_m = sys.b.copy()
+    b_m[grid.branch_index[target.id]] += d.delta_b
+    psdf_m = psdf_matrix(sys, ptdf=ptdf_m, susceptances=b_m)
+    _assert_loop_equal(psdf_m.values, _psdf_loop(sys, ptdf_m, b_m))
+
+
+def test_psdf_rejects_non_ptdf_input():
+    sys = build_grounded_system(triangle())
+    with pytest.raises(GridStructureError, match="needs a PTDF"):
+        psdf_matrix(sys, ptdf=psdf_matrix(sys))
