@@ -13,6 +13,10 @@ PIVOT_RTOL = 1e-10
 #: scaled by the transfer term ``b_e t_e``
 OUTAGE_RTOL = 1e-8
 
+#: lowest susceptance a branch may be left with after a change: anything
+#: above it (the roundoff of an exact outage ``b + (-b)``) counts as >= 0
+SUSCEPTANCE_FLOOR = -1e-12
+
 
 def _lu_pivots(M: np.ndarray) -> np.ndarray:
     """Magnitudes ``|U_kk|`` of the LU factorization of M with partial pivoting.

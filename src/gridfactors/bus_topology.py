@@ -20,8 +20,15 @@ import numpy as np
 
 from ._linalg import OUTAGE_RTOL, guarded_solve
 from .errors import DegenerateSwitchError, GridStructureError, IslandingError
-from .factors_base import FactorMatrix, PTDF, _ptdf_rows
-from .grid_model import Bus, Grid, GroundedSystem, build_incidence
+from .factors_base import FactorMatrix, PTDF, _end_diff, _ptdf_rows
+from .grid_model import (
+    Bus,
+    Grid,
+    GroundedSystem,
+    _grounded_coords,
+    _grounded_laplacian,
+    _incidence,
+)
 from .single_mod import lodf_tail
 
 PARENT = "parent"
@@ -156,7 +163,7 @@ def merged_ptdf(sys: GroundedSystem, switch: int) -> FactorMatrix:
     """PTDF of the merged grid for every branch except the switch itself."""
     B_m_inv = merge_inverse(sys, switch)
     e = sys.grid.branch_index[switch]
-    values = _ptdf_rows(sys, B_m_inv, sys.b)
+    values = _ptdf_rows(sys.branch_ends, B_m_inv, sys.b)
     keep = [i for i in range(sys.grid.n_branches) if i != e]
     return FactorMatrix(
         values=values[keep],
@@ -202,10 +209,11 @@ class TriConfig:
     """The three grid configurations of a bus split, plus bookkeeping.
 
     ``sys`` is the merged reference; ``grid_o`` the open topology with the
-    new buses appended; ``B_c_inv`` the padded inverse whose parent and new
-    rows/columns are identical copies; ``B_o`` the grounded matrix of the
-    open grid (assembled, never inverted here); ``U`` stacks the coupler
-    incidence vectors, one column per split.
+    new buses appended; ``ends_o`` its grounded branch endpoint rows (the
+    slack on the pad index ``n_o``); ``B_c_inv`` the padded inverse whose
+    parent and new rows/columns are identical copies; ``B_o`` the grounded
+    matrix of the open grid (scattered from ``ends_o``, never inverted
+    here); ``U`` stacks the coupler incidence vectors, one column per split.
     """
 
     sys: GroundedSystem
@@ -213,6 +221,7 @@ class TriConfig:
     splits: tuple[_ResolvedSplit, ...]
     bus_ids_o: tuple[int, ...]
     index_map_o: dict[int, int]
+    ends_o: tuple[np.ndarray, np.ndarray]
     E_o_r: np.ndarray
     b_o: np.ndarray
     B_o: np.ndarray
@@ -247,18 +256,15 @@ def pad_inverse(
         origin[r.new_bus] = r.parent
 
     bus_ids_o = grid_o.grounded_bus_ids
-    index_map_o = {bid: i for i, bid in enumerate(bus_ids_o)}
-    inc_o = build_incidence(grid_o)
-    E_o_r = inc_o.reduced
+    n_o = len(bus_ids_o)
+    index_map_o, ends_o = _grounded_coords(grid_o)
     b_o = grid_o.susceptances()
-    B_o = (E_o_r * b_o) @ E_o_r.T
 
     def merged_row(bus_id: int) -> int | None:
         while bus_id in origin:
             bus_id = origin[bus_id]
         return sys.index_map.get(bus_id)  # None when the origin is the slack
 
-    n_o = len(bus_ids_o)
     rows = [merged_row(bid) for bid in bus_ids_o]
     B_c_inv = np.zeros((n_o, n_o))
     present = [i for i, r in enumerate(rows) if r is not None]
@@ -277,9 +283,10 @@ def pad_inverse(
         splits=tuple(resolved),
         bus_ids_o=bus_ids_o,
         index_map_o=index_map_o,
-        E_o_r=E_o_r,
+        ends_o=ends_o,
+        E_o_r=_incidence(ends_o, n_o),
         b_o=b_o,
-        B_o=0.5 * (B_o + B_o.T),
+        B_o=_grounded_laplacian(ends_o, b_o, n_o),
         B_c_inv=B_c_inv,
         U=U,
     )
@@ -330,15 +337,15 @@ def bsdf_vector(tri: TriConfig) -> np.ndarray:
     """Bus split distribution factors: flow changes per unit of the
     opening's driving term, one entry per branch of the open grid."""
     g_nu, s_val = _single_split_pieces(tri)
-    return (tri.b_o * (tri.E_o_r.T @ g_nu)) / s_val
+    return (tri.b_o * _end_diff(tri.ends_o, g_nu)) / s_val
 
 
 def split_ptdf(tri: TriConfig) -> FactorMatrix:
     """PTDF of the open grid, as the padded PTDF plus the bsdf correction."""
     g_nu, s_val = _single_split_pieces(tri)
-    bsdf = (tri.b_o * (tri.E_o_r.T @ g_nu)) / s_val
-    ptdf_c = (tri.b_o[:, None] * tri.E_o_r.T) @ tri.B_c_inv
-    values = ptdf_c + np.outer(bsdf, g_nu)
+    bsdf = (tri.b_o * _end_diff(tri.ends_o, g_nu)) / s_val
+    values = _ptdf_rows(tri.ends_o, tri.B_c_inv, tri.b_o)
+    values += np.outer(bsdf, g_nu)
     return FactorMatrix(
         values=values,
         row_labels=tri.grid_o.branch_ids,
@@ -370,7 +377,7 @@ def lodf_after_split(tri: TriConfig, branch: int) -> np.ndarray:
             f"outage of branch {branch} islands the split grid",
             criterion=denom,
         )
-    g = (tri.E_o_r.T @ z)[:, None]
+    g = _end_diff(tri.ends_o, z)[:, None]
     return lodf_tail(tri.b_o, g, np.array([denom]), [e], np.array([False]))[:, 0]
 
 

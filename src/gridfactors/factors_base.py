@@ -123,9 +123,7 @@ def compute_flows(
         raise GridStructureError(
             f"angle vector has shape {theta.shape}, expected ({sys.n},)"
         )
-    frm, to = sys.branch_ends
-    padded = np.append(theta, 0.0)
-    f = sys.b * (padded[frm] - padded[to])
+    f = sys.b * _end_diff(sys.branch_ends, theta)
     if shifts is not None:
         f = f + sys.b * np.asarray(shifts, dtype=float)
     return FlowState(
@@ -148,21 +146,30 @@ def solve_flow(sys: GroundedSystem, p: np.ndarray | None = None) -> FlowState:
     return compute_flows(sys, theta, shifts if has_shift else None)
 
 
-def _ptdf_rows(sys: GroundedSystem, B_inv: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """PTDF values ``diag(b) E^T B_inv`` for the branches of ``sys``.
+def _end_diff(ends: tuple[np.ndarray, np.ndarray], X: np.ndarray) -> np.ndarray:
+    """``E^T X``: the rows of ``X`` at each branch's from end minus its to end.
+
+    ``ends`` are grounded endpoint rows (``GroundedSystem.branch_ends``);
+    the slack's pad index ``n`` reads a zero row. Gathers only, no product.
+    """
+    frm, to = ends
+    padded = np.zeros((X.shape[0] + 1,) + X.shape[1:])
+    padded[:-1] = X
+    out = padded[frm]
+    out -= padded[to]
+    return out
+
+
+def _ptdf_rows(ends: tuple[np.ndarray, np.ndarray], B_inv: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """PTDF values ``diag(b) E^T B_inv`` for the branches with endpoints ``ends``.
 
     Row ``e`` is ``b_e (B_inv[from e] - B_inv[to e])``, gathered on the
     branch endpoints with the slack on a zero pad row: O(nm), no product.
-    ``B_inv`` may be any inverse in the grounded coordinates of ``sys``,
+    ``B_inv`` may be any inverse in the grounded coordinates of ``ends``,
     such as one updated for a modification, and ``b`` the matching
     susceptances. Rows with ``b_e = 0`` are exact +0.0 (not -0.0).
     """
-    frm, to = sys.branch_ends
-    n = sys.n
-    padded = np.zeros((n + 1, n))
-    padded[:n] = B_inv
-    rows = padded[frm]
-    rows -= padded[to]
+    rows = _end_diff(ends, B_inv)
     rows *= b[:, None]
     rows[b == 0.0] = 0.0
     return rows
@@ -175,7 +182,7 @@ def ptdf_matrix(sys: GroundedSystem) -> FactorMatrix:
     rows of the grounded inverse at each branch's endpoints.
     """
     return FactorMatrix(
-        values=_ptdf_rows(sys, sys.B_inv, sys.b),
+        values=_ptdf_rows(sys.branch_ends, sys.B_inv, sys.b),
         row_labels=sys.grid.branch_ids,
         col_labels=sys.bus_ids,
         kind=PTDF,

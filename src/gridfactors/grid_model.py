@@ -7,6 +7,13 @@ the branch susceptances ``b``. Fixing a slack bus and deleting its row and
 column grounds the Laplacian, which is then positive definite exactly when
 the grid is connected. Everything downstream (distribution factors, low-rank
 topology updates) works on the dense inverse of that grounded matrix.
+
+The grounded Laplacian is scattered from the branch endpoint arrays (each
+branch adds ``b`` to its two diagonal entries and ``-b`` to the two
+off-diagonal ones), never formed as the product ``E diag(b) E^T``. Its
+inverse is built from the Cholesky factor ``B = L L^T`` that proves it
+positive definite: ``B^-1 = L^-T L^-1`` (LAPACK's potrf, trtri, lauum route;
+Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 14).
 """
 
 from __future__ import annotations
@@ -245,21 +252,95 @@ class IncidenceMatrix:
     slack: int
 
 
+def _branch_ends(grid: Grid, pos: dict[int, int], pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row of each branch's from bus and to bus under ``pos``, in branch order.
+
+    A bus missing from ``pos`` (the slack, in grounded coordinates) maps to
+    the pad index ``pad``.
+    """
+    frm = np.array([pos.get(br.from_bus, pad) for br in grid.branches], dtype=np.intp)
+    to = np.array([pos.get(br.to_bus, pad) for br in grid.branches], dtype=np.intp)
+    _freeze(frm, to)
+    return frm, to
+
+
+def _incidence(ends: tuple[np.ndarray, np.ndarray], n: int) -> np.ndarray:
+    """Read-only n x m incidence matrix: +1 at each from row, -1 at each to row.
+
+    Ends at the pad index ``n`` land on a spare row that is dropped.
+    """
+    frm, to = ends
+    cols = np.arange(len(frm))
+    E = np.zeros((n + 1, len(frm)))
+    E[frm, cols] = 1.0
+    E[to, cols] = -1.0
+    E = E[:n]
+    E.setflags(write=False)
+    return E
+
+
+def _grounded_laplacian(ends: tuple[np.ndarray, np.ndarray], b: np.ndarray, n: int) -> np.ndarray:
+    """Read-only grounded Laplacian ``E_r diag(b) E_r^T`` scattered from branch ends.
+
+    One ``np.bincount`` adds ``b_e`` at ``(f, f)`` and ``(t, t)`` and
+    ``-b_e`` at ``(f, t)`` and ``(t, f)`` for every branch; entries on the
+    pad index ``n`` (the slack) are dropped. The four entries of a branch
+    are consecutive, so ``(i, j)`` and ``(j, i)`` sum the same terms in the
+    same order and the result is exactly symmetric.
+    """
+    frm, to = ends
+    rows = np.stack([frm, to, frm, to], axis=1).ravel()
+    cols = np.stack([frm, to, to, frm], axis=1).ravel()
+    weights = np.stack([b, b, -b, -b], axis=1).ravel()
+    keep = (rows < n) & (cols < n)
+    B = np.bincount(
+        rows[keep] * n + cols[keep], weights=weights[keep], minlength=n * n
+    ).reshape(n, n)
+    B.setflags(write=False)
+    return B
+
+
+#: order at or below which a triangular inverse is left to one LAPACK call
+_TRI_LEAF = 128
+
+
+def _lower_inverse(L: np.ndarray, out: np.ndarray) -> None:
+    """Write the inverse of the lower triangular ``L`` into ``out``.
+
+    ``out`` must be zero above its diagonal. With ``L = [[L11, 0], [L21,
+    L22]]`` the inverse is ``[[M11, 0], [-M22 L21 M11, M22]]``: the two
+    diagonal blocks recurse and the off-diagonal block is two gemms.
+    """
+    n = L.shape[0]
+    if n <= _TRI_LEAF:
+        out[...] = np.tril(np.linalg.inv(L))
+        return
+    h = n // 2
+    M11, M22 = out[:h, :h], out[h:, h:]
+    _lower_inverse(L[:h, :h], M11)
+    _lower_inverse(L[h:, h:], M22)
+    low = out[h:, :h]
+    np.matmul(M22, L[h:, :h] @ M11, out=low)
+    np.negative(low, out=low)
+
+
+def _cholesky_inverse(L: np.ndarray) -> np.ndarray:
+    """``B^-1 = L^-T L^-1`` from the lower Cholesky factor ``L`` of ``B``.
+
+    ``M.T @ M`` on one buffer runs as a BLAS syrk, which fills one
+    triangle and mirrors it, so the result is exactly symmetric.
+    """
+    M = np.zeros_like(L)
+    _lower_inverse(L, M)
+    return M.T @ M
+
+
 def build_incidence(grid: Grid) -> IncidenceMatrix:
     """Assemble the oriented incidence matrix in bus/branch order."""
-    n, m = grid.n_buses, grid.n_branches
-    E = np.zeros((n, m))
-    bidx = grid.bus_index
-    for e, br in enumerate(grid.branches):
-        E[bidx[br.from_bus], e] = 1.0
-        E[bidx[br.to_bus], e] = -1.0
-    slack_row = bidx[grid.slack]
-    reduced = np.delete(E, slack_row, axis=0)
-    E.setflags(write=False)
-    reduced.setflags(write=False)
+    n = grid.n_buses
     return IncidenceMatrix(
-        full=E,
-        reduced=reduced,
+        full=_incidence(_branch_ends(grid, grid.bus_index, n), n),
+        reduced=_incidence(_grounded_coords(grid)[1], n - 1),
         bus_ids=grid.bus_ids,
         branch_ids=grid.branch_ids,
         slack=grid.slack,
@@ -273,12 +354,14 @@ class GroundedSystem:
     ``bus_ids`` lists the non-slack buses in grid order; ``index_map`` maps a
     non-slack bus id to its row in the grounded coordinates. ``E_r`` is the
     slack-reduced incidence matrix and ``b`` the effective branch
-    susceptances, so ``B = E_r diag(b) E_r^T``.
+    susceptances, so ``B = E_r diag(b) E_r^T``; ``B`` itself is scattered
+    from the endpoint arrays ``branch_ends``, not formed as that product.
 
-    ``chol`` is ``(L, True)`` with ``L`` the lower Cholesky factor of ``B``,
-    the proof that ``B`` is positive definite. Systems derived through
-    low-rank updates carry ``B=None`` and no Cholesky factor; the inverse is
-    all downstream algebra needs.
+    ``chol`` is ``(L, True)`` with ``L`` the lower Cholesky factor of ``B``:
+    it proves ``B`` positive definite and gives ``B_inv = L^-T L^-1``,
+    exactly symmetric. Systems derived through low-rank updates carry
+    ``B=None`` and no Cholesky factor; the inverse is all downstream
+    algebra needs.
     """
 
     grid: Grid
@@ -303,11 +386,7 @@ class GroundedSystem:
         The slack has no grounded row and maps to ``n``, a pad index that
         kernels gathering rows of ``B^-1`` on branch endpoints keep at zero.
         """
-        n, pos, branches = self.n, self.index_map, self.grid.branches
-        frm = np.array([pos.get(br.from_bus, n) for br in branches], dtype=np.intp)
-        to = np.array([pos.get(br.to_bus, n) for br in branches], dtype=np.intp)
-        _freeze(frm, to)
-        return frm, to
+        return _branch_ends(self.grid, self.index_map, self.n)
 
     def nu(self, branch_id: int) -> np.ndarray:
         """Terminal incidence vector of a branch in grounded coordinates."""
@@ -343,8 +422,35 @@ def _freeze(*arrays: np.ndarray) -> None:
         a.setflags(write=False)
 
 
+def _grounded_coords(grid: Grid) -> tuple[dict[int, int], tuple[np.ndarray, np.ndarray]]:
+    """Grounded row of each non-slack bus id, and the grounded branch ends."""
+    index_map = {bid: i for i, bid in enumerate(grid.grounded_bus_ids)}
+    return index_map, _branch_ends(grid, index_map, len(index_map))
+
+
+def _system(grid: Grid, coords, B_inv: np.ndarray, **factors) -> GroundedSystem:
+    """Grounded system of ``grid`` in the coordinates ``_grounded_coords(grid)``."""
+    index_map, ends = coords
+    sys = GroundedSystem(
+        grid=grid,
+        slack=grid.slack,
+        bus_ids=grid.grounded_bus_ids,
+        index_map=index_map,
+        E_r=_incidence(ends, len(index_map)),
+        b=grid.susceptances(),
+        B_inv=B_inv,
+        **factors,
+    )
+    sys.__dict__["branch_ends"] = ends  # seeds the cached property
+    return sys
+
+
 def build_grounded_system(grid: Grid) -> GroundedSystem:
-    """Assemble and invert the grounded Laplacian for a connected grid.
+    """Scatter the grounded Laplacian of a connected grid and invert it.
+
+    ``B`` is scattered from the grounded branch endpoints; its Cholesky
+    factor ``L`` proves it positive definite and gives the inverse as
+    ``L^-T L^-1``, so one O(n^3) factorization serves both.
 
     Raises
     ------
@@ -358,32 +464,15 @@ def build_grounded_system(grid: Grid) -> GroundedSystem:
             f"grid is disconnected into {len(comps)} components",
             components=comps,
         )
-    inc = build_incidence(grid)
-    b = grid.susceptances()
-    E_r = inc.reduced
-    B = (E_r * b) @ E_r.T
-    B = 0.5 * (B + B.T)
+    coords = _grounded_coords(grid)
+    B = _grounded_laplacian(coords[1], grid.susceptances(), grid.n_buses - 1)
     try:
-        # the Cholesky factor is the positive-definiteness guard
-        chol = (np.linalg.cholesky(B), True)
+        L = np.linalg.cholesky(B)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - traversal catches first
         raise IslandingError(f"grounded matrix is singular: {exc}") from exc
-    B_inv = np.linalg.inv(B)
-    B_inv = 0.5 * (B_inv + B_inv.T)
-    bus_ids = grid.grounded_bus_ids
-    index_map = {bid: i for i, bid in enumerate(bus_ids)}
-    _freeze(B, B_inv)
-    return GroundedSystem(
-        grid=grid,
-        slack=grid.slack,
-        bus_ids=bus_ids,
-        index_map=index_map,
-        E_r=E_r,
-        b=b,
-        B_inv=B_inv,
-        B=B,
-        chol=chol,
-    )
+    B_inv = _cholesky_inverse(L)
+    _freeze(B_inv)
+    return _system(grid, coords, B_inv, B=B, chol=(L, True))
 
 
 def system_from_inverse(grid: Grid, B_inv: np.ndarray) -> GroundedSystem:
@@ -392,22 +481,11 @@ def system_from_inverse(grid: Grid, B_inv: np.ndarray) -> GroundedSystem:
     Used when an inverse was obtained by a low-rank update; no factorization
     is performed and ``B`` is left unset.
     """
-    inc = build_incidence(grid)
-    bus_ids = grid.grounded_bus_ids
+    n = grid.n_buses - 1
     B_inv = np.asarray(B_inv, dtype=float)
-    if B_inv.shape != (len(bus_ids), len(bus_ids)):
-        raise GridStructureError(
-            f"inverse has shape {B_inv.shape}, expected {(len(bus_ids),) * 2}"
-        )
-    return GroundedSystem(
-        grid=grid,
-        slack=grid.slack,
-        bus_ids=bus_ids,
-        index_map={bid: i for i, bid in enumerate(bus_ids)},
-        E_r=inc.reduced,
-        b=grid.susceptances(),
-        B_inv=B_inv,
-    )
+    if B_inv.shape != (n, n):
+        raise GridStructureError(f"inverse has shape {B_inv.shape}, expected {(n, n)}")
+    return _system(grid, _grounded_coords(grid), B_inv)
 
 
 def pseudo_inverse_check(grid: Grid) -> np.ndarray:

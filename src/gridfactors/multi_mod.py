@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._linalg import guarded_solve
+from ._linalg import SUSCEPTANCE_FLOOR, guarded_solve
 from .bus_topology import TriConfig
 from .errors import DegenerateSwitchError, GridStructureError, IslandingError
 from .factors_base import FactorMatrix, PTDF, _ptdf_rows
@@ -69,7 +69,7 @@ def woodbury_update(sys: GroundedSystem, mods: ModificationSet) -> np.ndarray:
         idx = sys.grid.branch_index.get(branch_id)
         if idx is None:
             raise GridStructureError(f"unknown branch {branch_id}")
-        if sys.b[idx] + delta < -1e-12:
+        if sys.b[idx] + delta < SUSCEPTANCE_FLOOR:
             raise GridStructureError(
                 f"branch {branch_id}: susceptance would become negative"
             )
@@ -94,7 +94,7 @@ def multi_ptdf(sys: GroundedSystem, mods: ModificationSet) -> FactorMatrix:
     b_m = sys.b.copy()
     for branch_id, delta in mods.entries:
         b_m[sys.grid.branch_index[branch_id]] += delta
-    values = _ptdf_rows(sys, B_m_inv, b_m)
+    values = _ptdf_rows(sys.branch_ends, B_m_inv, b_m)
     return FactorMatrix(
         values=values,
         row_labels=sys.grid.branch_ids,
@@ -280,7 +280,7 @@ def multi_merge_ptdf(
 ) -> FactorMatrix:
     """PTDF rows of all non-switch branches under the given closures."""
     B_m_inv = multi_merge_inverse(sys, states, kernel)
-    values = _ptdf_rows(sys, B_m_inv, sys.b)
+    values = _ptdf_rows(sys.branch_ends, B_m_inv, sys.b)
     keep = [
         i
         for i, br in enumerate(sys.grid.branches)

@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._linalg import SUSCEPTANCE_FLOOR
 from .bus_topology import SplitSpec, apply_split
 from .errors import GridStructureError
 from .factors_base import FlowState, solve_flow
@@ -69,7 +70,7 @@ def rebuild_grid(
                 raise GridStructureError(f"branch {br.id} is not a switch")
             branches.append(replace(br, kind=LINE, susceptance=large_b))
         else:
-            if b_new < -1e-12:
+            if b_new < SUSCEPTANCE_FLOOR:
                 raise GridStructureError(
                     f"branch {br.id}: susceptance would become negative"
                 )

@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._linalg import OUTAGE_RTOL
+from ._linalg import OUTAGE_RTOL, SUSCEPTANCE_FLOOR
 from .errors import GridStructureError, IslandingError
 from .factors_base import FactorMatrix, PTDF, _ptdf_rows
 from .grid_model import GroundedSystem
@@ -42,7 +42,7 @@ def _check_delta(sys: GroundedSystem, d: BranchDelta) -> int:
     e = sys.grid.branch_index.get(d.branch)
     if e is None:
         raise GridStructureError(f"unknown branch {d.branch}")
-    if sys.b[e] + d.delta_b < -1e-12:
+    if sys.b[e] + d.delta_b < SUSCEPTANCE_FLOOR:
         raise GridStructureError(
             f"branch {d.branch}: susceptance would become negative "
             f"({sys.b[e]} + {d.delta_b})"
@@ -87,7 +87,7 @@ def ptdf_after_mod(sys: GroundedSystem, d: BranchDelta) -> FactorMatrix:
     e = sys.grid.branch_index[d.branch]
     b_m = sys.b.copy()
     b_m[e] += d.delta_b
-    values = _ptdf_rows(sys, B_m_inv, b_m)
+    values = _ptdf_rows(sys.branch_ends, B_m_inv, b_m)
     return FactorMatrix(
         values=values,
         row_labels=sys.grid.branch_ids,

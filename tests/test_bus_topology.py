@@ -30,7 +30,9 @@ from gridfactors import (
     BranchDelta,
 )
 
-from conftest import add_switches, rel_fro, triangle, two_bus
+from gridfactors.bus_topology import _single_split_pieces
+
+from conftest import add_switches, rel_fro, screening_grid, sweep_grid, triangle, two_bus
 
 
 def random_split(grid, rng, parent=None):
@@ -301,6 +303,43 @@ def test_bsdf_and_split_ptdf(ww_case, ww_sys):
     lead = int(np.argmax(np.abs(bsdf)))
     driving_row = correction[lead] / bsdf[lead]
     np.testing.assert_allclose(correction, np.outer(bsdf, driving_row), atol=1e-9)
+
+
+def _slack_side_splits(seed):
+    """Seeded splits of a neighbour of the slack bus 1 and of the slack itself."""
+    rng = np.random.default_rng(seed)
+    for grid in (screening_grid(seed, 30), sweep_grid(seed, 30)[0]):
+        ends = [(br.from_bus, br.to_bus) for br in grid.branches_at(1)]
+        nbrs = sorted({f if t == 1 else t for f, t in ends})
+        nbr = next(b for b in nbrs if len(grid.branches_at(b)) >= 2)
+        for parent in (nbr, 1):
+            yield grid, random_split(grid, rng, parent=parent)
+
+
+def _assert_rel(values, ref):
+    assert values.shape == ref.shape
+    assert np.abs(values - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("seed", [1, 6, 23])
+def test_split_factors_match_dense_incidence(seed):
+    # the open grid's Laplacian, bsdf and PTDF as dense incidence products
+    checked = 0
+    for grid, split in _slack_side_splits(seed):
+        tri = pad_inverse(build_grounded_system(grid), split)
+        E, b = tri.E_o_r, tri.b_o
+        _assert_rel(tri.B_o, (E * b) @ E.T)
+        assert np.array_equal(tri.B_o, tri.B_o.T)
+        try:
+            g_nu, s_val = _single_split_pieces(tri)
+        except IslandingError:
+            continue
+        bsdf = b * (E.T @ g_nu) / s_val
+        _assert_rel(bsdf_vector(tri), bsdf)
+        dense = (b[:, None] * E.T) @ tri.B_c_inv + np.outer(bsdf, g_nu)
+        _assert_rel(split_ptdf(tri).values, dense)
+        checked += 1
+    assert checked >= 2
 
 
 def test_split_ptdf_matches_oracle_random(small_grids):

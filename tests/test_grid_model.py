@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,10 @@ from gridfactors import (
     connected_components,
     pseudo_inverse_check,
     solve_angles,
+    system_from_inverse,
 )
 
-from conftest import balanced_injections, triangle, two_bus
+from conftest import balanced_injections, screening_grid, sweep_grid, triangle, two_bus
 
 
 def test_two_bus_incidence():
@@ -172,3 +175,78 @@ def test_non_finite_injection_rejected(bad):
             buses=(Bus(id=1, is_slack=True), Bus(id=2, injection=bad)),
             branches=(Branch(id=1, from_bus=1, to_bus=2, susceptance=1.0),),
         )
+
+
+def _slack_at(grid, bus_id):
+    """The same grid with ``bus_id`` as its slack."""
+    buses = tuple(replace(b, is_slack=(b.id == bus_id)) for b in grid.buses)
+    return Grid(buses=buses, branches=grid.branches)
+
+
+def _seeded_cases():
+    """Parallel branches, zero-susceptance lines, open switches, PSTs and
+    branches at the slack; the last two move the slack off the first bus."""
+    grids = []
+    for seed in (2, 9, 17):
+        grids += [screening_grid(seed, 40), sweep_grid(seed, 40)[0]]
+    grids += [_slack_at(screening_grid(4, 40), 17), _slack_at(sweep_grid(5, 40)[0], 40)]
+    return grids
+
+
+def _loop_incidence(grid):
+    """The incidence matrices built one branch at a time: the reference."""
+    E = np.zeros((grid.n_buses, grid.n_branches))
+    for e, br in enumerate(grid.branches):
+        E[grid.bus_index[br.from_bus], e] = 1.0
+        E[grid.bus_index[br.to_bus], e] = -1.0
+    return E, np.delete(E, grid.bus_index[grid.slack], axis=0)
+
+
+def test_build_incidence_matches_loop(ww_grid):
+    for grid in _seeded_cases() + [ww_grid, triangle(slack=2), two_bus(slack=1)]:
+        inc = build_incidence(grid)
+        full, reduced = _loop_incidence(grid)
+        assert np.array_equal(inc.full, full)
+        assert np.array_equal(inc.reduced, reduced)
+        assert not inc.full.flags.writeable and not inc.reduced.flags.writeable
+        sys = build_grounded_system(grid)
+        assert np.array_equal(sys.E_r, reduced)
+
+
+def test_scattered_laplacian_matches_dense_product():
+    for grid in _seeded_cases():
+        sys = build_grounded_system(grid)
+        dense = (sys.E_r * sys.b) @ sys.E_r.T
+        assert np.abs(sys.B - dense).max() <= 1e-12 * np.abs(dense).max()
+        assert np.array_equal(sys.B, sys.B.T)
+        assert np.array_equal(sys.B_inv, sys.B_inv.T)
+        assert not sys.B.flags.writeable and not sys.B_inv.flags.writeable
+        L = sys.chol[0]
+        assert np.array_equal(L, np.tril(L))
+        assert np.abs(L @ L.T - sys.B).max() <= 1e-12 * np.abs(sys.B).max()
+
+
+def test_seeded_branch_ends_match_recomputed():
+    for grid in _seeded_cases():
+        sys = build_grounded_system(grid)
+        lean = system_from_inverse(grid, sys.B_inv)
+        fresh = replace(sys, E_r=None)  # a copy computes the cached property anew
+        for s in (sys, lean):
+            assert all(np.array_equal(a, b) for a, b in zip(s.branch_ends, fresh.branch_ends))
+
+
+def test_build_inverts_no_full_matrix(monkeypatch):
+    # the inverse comes from the Cholesky factor: LAPACK inverts leaf blocks only
+    shapes = []
+    inv = np.linalg.inv
+
+    def recording_inv(a):
+        shapes.append(np.shape(a))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", recording_inv)
+    grid = screening_grid(3, 600)
+    sys = build_grounded_system(grid)
+    assert shapes and max(max(s) for s in shapes) <= 128
+    residual = np.abs(sys.B @ sys.B_inv - np.eye(sys.n)).max()
+    assert residual <= 10 * np.abs(sys.B @ inv(sys.B) - np.eye(sys.n)).max()

@@ -8,6 +8,7 @@ from gridfactors import (
     BranchDelta,
     GridStructureError,
     IslandingError,
+    ModificationSet,
     build_grounded_system,
     connected_components,
     lcdf_column,
@@ -19,8 +20,10 @@ from gridfactors import (
     ptdf_matrix,
     random_grid,
     rebuild_and_solve,
+    rebuild_grid,
     solve_flow,
     updated_inverse,
+    woodbury_update,
 )
 
 from conftest import (
@@ -267,3 +270,22 @@ def test_single_outage_calls_need_no_incidence_matrix():
             continue
         np.testing.assert_array_equal(lodf_column(lean, br.id), lodf_column(sys, br.id))
         assert post_outage_angle_diff(lean, br.id, f_r) == post_outage_angle_diff(sys, br.id, f_r)
+
+
+@pytest.mark.parametrize("excess, rejected", [(0.5e-12, False), (2e-12, True)])
+def test_susceptance_floor_is_shared(excess, rejected):
+    # b + delta a little below zero is the roundoff of an exact outage, up to
+    # the one floor that the single, multi and rebuild routes all apply
+    sys = build_grounded_system(triangle())
+    delta = -1.0 - excess
+    calls = (
+        lambda: updated_inverse(sys, BranchDelta(branch=1, delta_b=delta)),
+        lambda: woodbury_update(sys, ModificationSet(entries=((1, delta),))),
+        lambda: rebuild_grid(sys.grid, deltas=[(1, delta)]),
+    )
+    for call in calls:
+        if rejected:
+            with pytest.raises(GridStructureError, match="susceptance would become negative"):
+                call()
+        else:
+            call()
