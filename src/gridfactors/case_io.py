@@ -7,6 +7,7 @@ with '%' comments; other ``mpc`` fields are read and ignored.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import logging
@@ -270,8 +271,13 @@ def write_factors(matrix: FactorMatrix, sink=None) -> str | None:
     """Write a factor matrix as CSV with full double precision.
 
     Header row holds the column labels, each data row starts with its
-    branch id. ``sink`` may be a path or a writable stream, which receive
-    the CSV row by row; with no sink the CSV text is returned instead.
+    branch id. Every value is written as ``"%.17g" % v`` writes it, byte
+    for byte. Blocks of rows are formatted with numpy; a row holding a
+    non-finite or subnormal value, or one within the error bound of a
+    17-digit rounding tie, is written by that %-template instead, as is a
+    matrix with no columns. ``sink`` may be a path or a writable stream,
+    which receive the CSV block by block; with no sink the CSV text is
+    returned instead.
     """
     if sink is None:
         buf = io.StringIO()
@@ -285,13 +291,139 @@ def write_factors(matrix: FactorMatrix, sink=None) -> str | None:
     return None
 
 
+#: working memory of one block of rows in the factor CSV writer, at 400 bytes a value
+CSV_BLOCK_BYTES = 4 << 20
+_KMIN, _KMAX = -309, 309  # decimal exponents of normal doubles, and one to spare
+_TIE_MARGIN = 1e-9  # the scaled value is known to 2e-14: closer to a half may be a tie
+
+
+@functools.cache
+def _format_tables():
+    """Tables of the exact ``%.17g`` formatter, built on the first call.
+
+    ``pow10[k + 309]`` is ``10**(16-k) = (hi + lo) * 2**E`` as (hi, hi's
+    Dekker halves, lo, E), exact to ``2**-106`` by integer arithmetic.
+    ``quads`` spells 0000..9999, then 0..9, in uint32 words; ``zeros4``
+    counts trailing zeros. A value's 32 text bytes (NULs dropped) are the
+    ``prefix`` word (sign, "0." and zeros), the digits at bytes 8-25 and
+    the ``suffix`` (exponent, separator) at 26-31. For each (digit the
+    point follows, length), ``low``, ``point`` and ``high`` mask the digits
+    before the point, the point, and the digits after it shifted a byte.
+    """
+    pow10 = []
+    for k in range(_KMIN, _KMAX + 1):
+        num, den = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
+        e = num.bit_length() - den.bit_length()
+        num, den = (num, den << e) if e >= 0 else (num << -e, den)
+        hi = num / den  # int / int is correctly rounded
+        hn, hd = hi.as_integer_ratio()
+        split = 134217729.0 * hi
+        hh = split - (split - hi)
+        pow10.append((hi, hh, hi - hh, (num * hd - hn * den) / (den * hd), e))
+    n = np.arange(10000)
+    quads = np.zeros((10010, 4), np.uint8)
+    quads[:10000] = 48 + n[:, None] // [1000, 100, 10, 1] % 10
+    quads[10000:, 0] = 48 + n[:10]
+    p, end = np.divmod(np.arange(19 * 18), 18)
+    p, end, j = p[:, None], end[:, None] + 1, np.arange(32) - 8
+    low = 255 * ((j >= 0) & (j < np.minimum(p + 1, end)))
+    point = ord(".") * ((j == p + 1) & (p + 1 < end))
+    high = 255 * ((j >= p + 2) & (j < end))
+    zeros = ["0." + "0" * (-k - 1) if -4 <= k < 0 else "" for k in range(-5, 1)]
+    prefix = b"".join((sign + z).encode().rjust(8, b"\0") for z in zeros for sign in ("", "-"))
+    exponents = ["" if -4 <= k <= 16 else f"e{k:+03d}" for k in range(_KMIN, _KMAX + 1)]
+    suffix = b"".join(f"\0\0{x}{sep}".encode().ljust(8, b"\0") for x in exponents for sep in ",\n")
+    return (
+        np.array(pow10), quads.view("<u4").ravel(), sum(n % m == 0 for m in (10, 100, 1000)),
+        *(m.astype(np.uint8).view("<u8") for m in (low, point, high)),
+        np.frombuffer(prefix, "<u8"), np.frombuffer(suffix, "<u8"),
+    )
+
+
+def _scaled_digits(a, k, pow10):
+    """Integer and fractional parts of ``a * 10**(16-k)`` for normal ``a > 0``."""
+    f, e = np.frexp(a)
+    hi, hh, hl, lo, ex = np.take(pow10, k - _KMIN, axis=0).T
+    split = 134217729.0 * f
+    fh = split - (split - f)
+    fl = f - fh
+    ph = f * hi  # ph + pl == f * hi exactly (Dekker's product)
+    pl = ((fh * hh - ph) + fh * hl + fl * hh) + fl * hl
+    scale = e + ex.astype(np.int32)
+    rh = np.ldexp(ph, scale)  # an integer whenever the result has 17 digits
+    rl = np.ldexp(pl + f * lo, scale)
+    whole = np.floor(rl)
+    return rh.astype(np.int64) + whole.astype(np.int64), rl - whole
+
+
+def _format_block(values):
+    """``%.17g`` text of each row of a 2-D block, values joined by ",", and a
+    mask of the rows holding a value whose digits are not certified: one
+    that is not finite, is subnormal or lies near a rounding tie."""
+    pow10, quads, zeros4, low, point_at, high, prefix, suffix = _format_tables()
+    v = values.ravel()
+    a = np.abs(v)
+    zero = a == 0.0
+    normal = (a >= 2.2250738585072014e-308) & (a <= 1.7976931348623157e308)
+    bad = ~(normal | zero)
+    a[~normal] = 1.0  # a zero is formatted as 1.0, then its digit is replaced
+    k = np.floor(np.log10(a)).astype(np.intp)
+    t, frac = _scaled_digits(a, k, pow10)
+    # the floor of the logarithm is off by one only next to a power of ten
+    redo = np.flatnonzero((t < 10**16) | (t >= 10**17))
+    k[redo] += np.where(t[redo] >= 10**17, 1, -1)
+    t[redo], frac[redo] = _scaled_digits(a[redo], k[redo], pow10)
+    bad |= (np.abs(frac - 0.5) < _TIE_MARGIN) | (t < 10**16) | (t >= 10**17)
+    d = t + (frac > 0.5)
+    up = d == 10**17
+    d[up], k[up] = 10**16, k[up] + 1
+    # uint32 columns: prefix, four groups of four digits, the last digit, suffix
+    spelled = np.empty((v.size, 8), "<u4")  # the masks below clear unused bytes
+    tail = 0  # trailing zero digits
+    for col, scale in enumerate((10**13, 10**9, 10**5, 10, 1), start=2):
+        group = d // scale
+        d -= group * scale
+        spelled[:, col] = quads[group if scale > 1 else group + 10000]
+        tail = np.where(group == 0, tail + (4 if scale > 1 else 1), zeros4[group])
+    spelled[zero, 2] = quads[0]
+    length = 17 - tail
+    fixed = (k >= -4) & (k <= 16)
+    point = np.where(fixed, k, 0)  # the point follows this digit, if any follows it
+    point[(length <= point + 1) | (point < 0)] = 18
+    end = np.maximum(length, np.where(fixed, k + 1, 1)) + (point < 18)
+    digits = spelled.view("<u8")
+    shifted = digits << np.uint64(8)
+    shifted.ravel()[1:] |= digits.ravel()[:-1] >> np.uint64(56)
+    pair = 18 * point + end - 1
+    text = (digits & np.take(low, pair, axis=0)) | np.take(point_at, pair, axis=0)
+    text |= shifted & np.take(high, pair, axis=0)
+    text[:, 0] = prefix[2 * np.clip(k, -5, 0) + 10 + np.signbit(v)]
+    ends = 2 * (k - _KMIN)
+    ends.reshape(values.shape)[:, -1] += 1
+    text[:, 3] |= suffix[ends]
+    text = text.astype("<u8", copy=False).tobytes()  # ufuncs return native byte order
+    lines = text.translate(None, b"\0").decode("ascii").split("\n")[:-1]
+    return lines, bad.reshape(values.shape).any(axis=1)
+
+
 def _write_csv(matrix: FactorMatrix, fh) -> None:
     prefix = _col_prefix(matrix.kind)
     fh.write("branch," + ",".join(f"{prefix}{c}" for c in matrix.col_labels) + "\n")
-    # one %-template per row formats the same digits as f"{v:.17g}" per value
+    # one %-template per row formats the same digits as f"{v:.17g}" per value;
+    # it writes the rows that _format_block does not certify
     template = "%d," + ",".join(["%.17g"] * len(matrix.col_labels)) + "\n"
-    for rid, row in zip(matrix.row_labels, matrix.values):
-        fh.write(template % (rid, *row.tolist()))
+    if not matrix.col_labels:
+        fh.writelines(template % (rid,) for rid in matrix.row_labels)
+        return
+    step = max(1, CSV_BLOCK_BYTES // (400 * len(matrix.col_labels)))
+    for start in range(0, len(matrix.row_labels), step):
+        ids = matrix.row_labels[start : start + step]
+        block = matrix.values[start : start + step]
+        lines, bad = _format_block(np.asarray(block, dtype=float))
+        fh.write("".join(
+            template % (rid, *row.tolist()) if b else "%d,%s\n" % (rid, line)
+            for rid, row, line, b in zip(ids, block, lines, bad)
+        ))
 
 
 def read_factors(source, kind: str = PTDF) -> FactorMatrix:
@@ -308,8 +440,9 @@ def read_factors(source, kind: str = PTDF) -> FactorMatrix:
         raise CaseParseError("empty factor CSV")
     header = lines[0].split(",")
     prefix = _col_prefix(kind)
+    labels = header[1:] if header[1:] != [""] else []  # "branch," has no columns
     try:
-        cols = tuple(int(h.removeprefix(prefix)) for h in header[1:])
+        cols = tuple(int(h.removeprefix(prefix)) for h in labels)
     except ValueError as exc:
         raise CaseParseError(f"bad factor CSV header: {exc}", line=1)
     rows = []
@@ -321,9 +454,9 @@ def read_factors(source, kind: str = PTDF) -> FactorMatrix:
                 f"row has {len(cells)} cells, header has {len(header)}", line=i
             )
         rows.append(int(cells[0]))
-        values.append([float(c) for c in cells[1:]])
+        values.append([float(c) for c in cells[1 : 1 + len(cols)]])
     return FactorMatrix(
-        values=np.array(values, dtype=float),
+        values=np.array(values, dtype=float).reshape(len(rows), len(cols)),
         row_labels=tuple(rows),
         col_labels=cols,
         kind=kind,

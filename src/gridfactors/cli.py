@@ -457,7 +457,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        _sys.stdout.flush()  # a closed pipe raises here rather than at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so the interpreter's
+        # own flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, _sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_ERROR
     except (CaseParseError, CaseConversionError, GridStructureError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_PARSE

@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gridfactors
 from gridfactors import (
     Branch,
     Bus,
@@ -15,11 +19,14 @@ from gridfactors import (
     grid_from_json,
     grid_to_json,
     parse_matpower,
+    psdf_matrix,
     ptdf_matrix,
+    random_grid,
     read_factors,
     to_grid,
     write_factors,
 )
+from gridfactors import case_io
 from gridfactors.cases import case6ww_text
 
 from conftest import triangle, two_bus
@@ -291,3 +298,74 @@ def test_write_factors_byte_identical_to_fstring_join(matrix, tmp_path):
 def test_write_factors_random_ptdf_byte_identical(small_grids):
     matrix = ptdf_matrix(build_grounded_system(small_grids[11]))
     assert write_factors(matrix) == _fstring_csv(matrix)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        FactorMatrix(values=np.empty((0, 3)), row_labels=(), col_labels=(1, 2, 4)),
+        FactorMatrix(values=np.empty((2, 0)), row_labels=(5, 3), col_labels=()),
+        FactorMatrix(values=np.empty((0, 0)), row_labels=(), col_labels=(), kind="PSDF"),
+    ],
+    ids=["no-rows", "no-columns", "empty"],
+)
+def test_factor_csv_round_trip_without_rows_or_columns(matrix):
+    again = read_factors(write_factors(matrix), kind=matrix.kind)
+    assert again.values.shape == matrix.values.shape
+    assert again.row_labels == matrix.row_labels
+    assert again.col_labels == matrix.col_labels
+
+
+def _percent_csv(values):
+    lines = ["branch," + ",".join(f"bus{c}" for c in range(values.shape[1]))]
+    lines += [f"{i}," + ",".join(["%.17g" % v for v in row]) for i, row in enumerate(values)]
+    return "\n".join(lines) + "\n"
+
+
+def test_write_factors_matches_percent_format_on_a_million_values(monkeypatch):
+    rng = np.random.default_rng(2024)
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    switches = np.array([1e-5, 1e-4, 1e16, 1e17])
+    ties = 1e15 + 0.25 + 0.5 * np.arange(2000)  # exactly halfway between 17-digit values
+    sys_ = build_grounded_system(random_grid(5, 200, 2.4))
+    ptdf, psdf = ptdf_matrix(sys_).values, psdf_matrix(sys_).values
+    signed = np.concatenate([
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        switches, np.nextafter(switches, 0), np.nextafter(switches, np.inf),
+        (10**17 + np.arange(-40_000, 40_000, 3)).astype(float),
+        np.arange(-50_000, 50_000) + 0.5, ties, 1.0 / np.arange(1, 100_001),
+    ])
+    values = np.concatenate([
+        np.frombuffer(rng.bytes(8 * 450_000), np.float64),  # nan, inf and subnormals too
+        [0.0, -0.0], signed, -signed, ptdf.ravel(), psdf.ravel(),
+    ])
+    assert values.size >= 10**6
+    values = np.concatenate([values, np.zeros(-values.size % 97)]).reshape(-1, 97)
+    matrix = FactorMatrix(
+        values=values, row_labels=tuple(range(len(values))), col_labels=tuple(range(97))
+    )
+    monkeypatch.setattr(case_io, "CSV_BLOCK_BYTES", 200_000)  # 5 rows a block
+    assert write_factors(matrix) == _percent_csv(values)
+    # the vector path writes the real factors and nearly all neighbours of
+    # powers of ten; tie rows go through the template
+    assert not case_io._format_block(ptdf)[1].any()
+    near = np.concatenate([np.nextafter(powers[16:], 0), np.nextafter(powers[16:], np.inf)])
+    assert case_io._format_block(near.reshape(-1, 1))[1].mean() < 0.01
+    assert case_io._format_block(ties.reshape(-1, 8))[1].all()
+
+
+def test_format_tables_built_on_first_write_not_on_import():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gridfactors.__file__)))
+    code = (
+        "import numpy as np\n"
+        "import gridfactors.cli\n"
+        "from gridfactors import FactorMatrix, case_io\n"
+        "assert case_io._format_tables.cache_info().currsize == 0\n"
+        "m = FactorMatrix(values=np.ones((1, 1)), row_labels=(1,), col_labels=(2,))\n"
+        "assert case_io.write_factors(m) == 'branch,bus2\\n1,1\\n'\n"
+        "assert case_io._format_tables.cache_info().currsize == 1\n"
+    )
+    subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        check=True, timeout=120,
+    )

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gridfactors
-from gridfactors import Grid, build_grounded_system, cli, grid_to_json, solve_flow
+from gridfactors import Grid, build_grounded_system, cli, grid_to_json, random_grid, solve_flow
 from gridfactors.cases import case6ww_text
 from gridfactors.cli import main
 
@@ -503,3 +503,34 @@ def test_cli_import_loads_no_scipy():
         check=True, timeout=120,
     )
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv, n_buses, read_first",
+    [
+        (["factors"], 200, True),
+        (["n1", "--format", "jsonl"], 700, True),
+        (["flows", "--format", "jsonl"], 5, False),
+    ],
+    ids=["factors", "n1-jsonl", "flows-closed-at-once"],
+)
+def test_closed_stdout_pipe_exits_without_traceback(argv, n_buses, read_first, tmp_path):
+    # the factors and n1 outputs are well over a 64 KB pipe buffer, so the
+    # writer is still writing when the reader closes its end; the short
+    # flows output meets the closed pipe only when stdout is flushed
+    path = tmp_path / "grid.json"
+    path.write_text(grid_to_json(random_grid(3, n_buses, 2.4)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gridfactors.__file__)))
+    entry = "import sys; from gridfactors.cli import main; sys.exit(main())"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # buffered stdout
+    proc = subprocess.Popen(
+        [sys.executable, "-c", entry, argv[0], str(path), *argv[1:]],
+        env={**env, "PYTHONPATH": src},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    if read_first:
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=120)
+    assert proc.returncode == cli.EXIT_ERROR
+    assert b"Traceback" not in stderr
