@@ -49,26 +49,20 @@ def guarded_solve(
     the magnitude of the terms that produced ``M``. The scale matters when a
     modification cancels the matrix to roundoff noise: the pivots are then
     tiny in absolute terms but can still look balanced relative to each
-    other.
+    other. The test is relative at every size, 1 x 1 included, so it does
+    not change when every susceptance is scaled by the same factor.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    scale = max(float(scale), 0.0)
-    if M.shape == (1, 1):
-        piv = abs(M[0, 0])
-        if piv <= PIVOT_RTOL * max(1.0, scale, piv):
-            raise IslandingError(
-                f"{context}: update matrix is singular", criterion=float(M[0, 0])
-            )
-        return np.asarray(rhs, dtype=float) / M[0, 0]
     rhs = np.asarray(rhs, dtype=float)
     # a NaN would pass the pivot test and come back as a NaN solution
     if not (np.isfinite(M).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
     diag = _lu_pivots(M)
-    if diag.min() <= PIVOT_RTOL * max(diag.max(), scale):
+    scale = max(diag.max(), float(scale))
+    if diag.min() <= PIVOT_RTOL * scale:
         raise IslandingError(
             f"{context}: update matrix is singular (smallest pivot "
-            f"{diag.min():.3g} at scale {max(diag.max(), scale):.3g})",
+            f"{diag.min():.3g} at scale {scale:.3g})",
             criterion=float(diag.min()),
         )
     return np.linalg.solve(M, rhs)

@@ -1,14 +1,17 @@
 """Bus merges and bus splits as limits of rank-one susceptance updates.
 
 Closing an ideal switch merges two buses; the Sherman-Morrison limit of
-infinite susceptance gives the merged inverse directly. Opening a busbar
-coupler (a bus split) is handled through three configurations: the merged
-reference, a padded "closed but not merged" inverse obtained by copying
-the parent row and column, and the open topology whose grounded matrix is
-assembled directly. The split inverse then follows from a closed-form
-rank-one expression that never references the diverging coupler
-susceptance. An alternative route models the split as rewiring branches
-onto an idle bus and applies one low-rank Woodbury update.
+infinite susceptance gives the merged inverse directly (``merge_inverse``
+and ``switch_flow`` are M = 1 closures of ``factors_base._LowRank``).
+Opening a busbar coupler (a bus split) is handled through three
+configurations: the merged reference, a padded "closed but not merged"
+inverse obtained by copying the parent row and column, and the open
+topology. The split inverse then follows from a closed-form expression
+that never references the diverging coupler susceptance. The split kernel
+:func:`_split_kernel` forms its pieces; ``split_criterion``,
+``split_inverse``, ``bsdf_vector``, ``split_ptdf`` and ``lodf_after_split``
+are its M = 1 readers. An alternative route models the split as rewiring
+branches onto an idle bus and applies one low-rank Woodbury update.
 """
 
 from __future__ import annotations
@@ -18,27 +21,34 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._linalg import OUTAGE_RTOL, guarded_solve
-from .errors import DegenerateSwitchError, GridStructureError, IslandingError
-from .factors_base import FactorMatrix, PTDF, _end_diff, _ptdf_rows
+from .errors import GridStructureError, IslandingError
+from .factors_base import (
+    FactorMatrix,
+    _LowRank,
+    _end_diff,
+    _wrap_ptdf,
+    ptdf_matrix,
+    solve_angles,
+)
 from .grid_model import (
+    Branch,
     Bus,
     Grid,
     GroundedSystem,
+    _branch_col,
     _grounded_coords,
     _grounded_laplacian,
     _incidence,
+    _Lazy,
+    system_from_inverse,
 )
-from .single_mod import lodf_tail
+from .single_mod import lodf_column
 
 PARENT = "parent"
 NEW = "new"
 
 #: factor on ||B_o||_inf * ||nu||^2 below which the split criterion counts as zero
 SPLIT_RTOL = 1e-10
-
-#: transfer impedances below this are treated as degenerate switch placements
-MERGE_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -146,31 +156,13 @@ def merge_inverse(sys: GroundedSystem, switch: int) -> np.ndarray:
     result is singular in the unmerged coordinates and satisfies
     ``B_m^-1 nu_s = 0``: both terminals sit at the same angle.
     """
-    e = sys.grid.branch_index.get(switch)
-    if e is None:
-        raise GridStructureError(f"unknown branch {switch}")
-    nu = sys.E_r[:, e]
-    w = sys.B_inv @ nu
-    q = float(nu @ w)
-    if q <= MERGE_ATOL:
-        raise DegenerateSwitchError(
-            f"switch {switch}: terminals have no transfer impedance (q={q:.3g})"
-        )
-    return sys.B_inv - np.outer(w, w) / q
+    up = _LowRank(sys, [_branch_col(sys.grid, switch)])
+    return up.updated(f"closing switch {switch}", xi=up.closure([True]))
 
 
 def merged_ptdf(sys: GroundedSystem, switch: int) -> FactorMatrix:
     """PTDF of the merged grid for every branch except the switch itself."""
-    B_m_inv = merge_inverse(sys, switch)
-    e = sys.grid.branch_index[switch]
-    values = _ptdf_rows(sys.branch_ends, B_m_inv, sys.b)
-    keep = [i for i in range(sys.grid.n_branches) if i != e]
-    return FactorMatrix(
-        values=values[keep],
-        row_labels=tuple(sys.grid.branch_ids[i] for i in keep),
-        col_labels=sys.bus_ids,
-        kind=PTDF,
-    )
+    return _wrap_ptdf(sys, merge_inverse(sys, switch), sys.b, drop=(switch,))
 
 
 def switch_flow(
@@ -179,27 +171,19 @@ def switch_flow(
     p: np.ndarray | None = None,
     merged: FactorMatrix | None = None,
 ) -> float:
-    """Flow over a closed switch, recovered from Kirchhoff's current law.
+    """Flow over a closed switch, from bus to to bus.
 
-    The merged PTDF has no row for the switch, so its flow is the residual
-    of the from-side bus balance: injection minus the flows of all other
-    branches incident there.
+    Read off ``SwitchKernel.merged_angles`` for the one switch: the closure
+    solve on the reference angles gives the switch's flow directly, so no
+    merged PTDF is needed and ``merged`` is not read.
     """
-    grid = sys.grid
+    from .multi_mod import SwitchKernel, SwitchStates  # multi_mod imports this module
+
     if p is None:
-        p = grid.injections()
-    if merged is None:
-        merged = merged_ptdf(sys, switch)
-    flows = merged.values @ sys.reduce(p)
-    from_bus = grid.branch(switch).from_bus
-    f_s = float(np.asarray(p)[grid.bus_index[from_bus]])
-    for branch_id, flow in zip(merged.row_labels, flows):
-        br = grid.branch(branch_id)
-        if br.from_bus == from_bus:
-            f_s -= flow
-        elif br.to_bus == from_bus:
-            f_s += flow
-    return f_s
+        p = sys.grid.injections()
+    states = SwitchStates(switches=(switch,), closed=(True,))
+    _, y = SwitchKernel(sys, [switch]).merged_angles(states, solve_angles(sys, p))
+    return float(y[0])
 
 
 # --- bus split: three-configuration route ------------------------------------
@@ -211,9 +195,9 @@ class TriConfig:
     ``sys`` is the merged reference; ``grid_o`` the open topology with the
     new buses appended; ``ends_o`` its grounded branch endpoint rows (the
     slack on the pad index ``n_o``); ``B_c_inv`` the padded inverse whose
-    parent and new rows/columns are identical copies; ``B_o`` the grounded
-    matrix of the open grid (scattered from ``ends_o``, never inverted
-    here); ``U`` stacks the coupler incidence vectors, one column per split.
+    parent and new rows/columns are identical copies; ``U`` stacks the
+    coupler incidence vectors, one column per split. The open grid's
+    incidence ``E_o_r`` and grounded matrix ``B_o`` are built on first read.
     """
 
     sys: GroundedSystem
@@ -222,9 +206,9 @@ class TriConfig:
     bus_ids_o: tuple[int, ...]
     index_map_o: dict[int, int]
     ends_o: tuple[np.ndarray, np.ndarray]
-    E_o_r: np.ndarray
+    E_o_r: np.ndarray = _Lazy(lambda t: _incidence(t.ends_o, len(t.bus_ids_o)))
     b_o: np.ndarray
-    B_o: np.ndarray
+    B_o: np.ndarray = _Lazy(lambda t: _grounded_laplacian(t.ends_o, t.b_o, len(t.bus_ids_o)))
     B_c_inv: np.ndarray
     U: np.ndarray
 
@@ -284,12 +268,41 @@ def pad_inverse(
         bus_ids_o=bus_ids_o,
         index_map_o=index_map_o,
         ends_o=ends_o,
-        E_o_r=_incidence(ends_o, n_o),
+        E_o_r=None,
         b_o=b_o,
-        B_o=_grounded_laplacian(ends_o, b_o, n_o),
+        B_o=None,
         B_c_inv=B_c_inv,
         U=U,
     )
+
+
+def _split_kernel(tri: TriConfig) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """Split pieces of every coupler: ``(GU, inner, scale, tol)``.
+
+    ``GU = U - B_c^-1 B_o U``, ``inner = (B_o U)^T GU = U^T (B_o - B_o B_c^-1
+    B_o) U``, ``scale = max |U^T B_o U|`` and ``tol = SPLIT_RTOL
+    ||B_o||_inf ||nu||^2``, the zero tolerance of each criterion
+    ``inner[k, k]``. ``B_o U`` is scattered from ``ends_o`` (branch ``e``
+    adds ``b_e (U[from e] - U[to e])`` to its from row and subtracts it at
+    its to row), so only its nonzero rows, the split buses and their
+    neighbours, read ``B_c^-1``. Row ``i`` of ``|B_o|`` sums each ``b_e`` at ``i``
+    twice: on the diagonal, and off it unless the other end is the slack.
+    """
+    frm, to = tri.ends_o
+    n_o = len(tri.bus_ids_o)
+    flow = tri.b_o[:, None] * _end_diff(tri.ends_o, tri.U)
+    BoU = np.zeros((n_o + 1, tri.n_splits))
+    np.add.at(BoU, frm, flow)
+    np.add.at(BoU, to, -flow)
+    rows = np.flatnonzero(BoU[:n_o].any(axis=1))
+    GU = tri.U - tri.B_c_inv[:, rows] @ BoU[rows]
+    inner = BoU[rows].T @ GU[rows]
+    both = (frm < n_o) & (to < n_o)
+    ends = np.concatenate([frm, to, frm[both], to[both]])
+    weights = np.concatenate([tri.b_o, tri.b_o, tri.b_o[both], tri.b_o[both]])
+    norm_inf = np.bincount(ends, weights, minlength=n_o + 1)[:n_o].max()
+    scale = np.abs(tri.U.T @ BoU[:n_o]).max()
+    return GU, inner, scale, SPLIT_RTOL * norm_inf * (tri.U * tri.U).sum(axis=0)
 
 
 def split_criterion(tri: TriConfig, which: int = 0) -> tuple[float, float]:
@@ -298,11 +311,8 @@ def split_criterion(tri: TriConfig, which: int = 0) -> tuple[float, float]:
     The opening islands the grid exactly when the indicator vanishes; the
     tolerance scales with ``||B_o||_inf ||nu||^2``.
     """
-    nu = tri.U[:, which]
-    Bo_nu = tri.B_o @ nu
-    s_val = float(nu @ Bo_nu - Bo_nu @ (tri.B_c_inv @ Bo_nu))
-    tol = SPLIT_RTOL * np.linalg.norm(tri.B_o, np.inf) * float(nu @ nu)
-    return s_val, tol
+    _, inner, _, tol = _split_kernel(tri)
+    return float(inner[which, which]), float(tol[which])
 
 
 def _single_split_pieces(tri: TriConfig) -> tuple[np.ndarray, float]:
@@ -312,15 +322,14 @@ def _single_split_pieces(tri: TriConfig) -> tuple[np.ndarray, float]:
             "single-coupler route needs exactly one split; "
             "use multi_mod.multi_split_inverse for several"
         )
-    nu = tri.U[:, 0]
-    s_val, tol = split_criterion(tri, 0)
-    if abs(s_val) <= tol:
+    GU, inner, _, tol = _split_kernel(tri)
+    s_val = float(inner[0, 0])
+    if abs(s_val) <= tol[0]:
         raise IslandingError(
             f"opening the busbar coupler islands the grid (criterion {s_val:.3g})",
             criterion=s_val,
         )
-    g_nu = nu - tri.B_c_inv @ (tri.B_o @ nu)
-    return g_nu, s_val
+    return GU[:, 0], s_val
 
 
 def split_inverse(tri: TriConfig) -> np.ndarray:
@@ -341,44 +350,14 @@ def bsdf_vector(tri: TriConfig) -> np.ndarray:
 
 
 def split_ptdf(tri: TriConfig) -> FactorMatrix:
-    """PTDF of the open grid, as the padded PTDF plus the bsdf correction."""
-    g_nu, s_val = _single_split_pieces(tri)
-    bsdf = (tri.b_o * _end_diff(tri.ends_o, g_nu)) / s_val
-    values = _ptdf_rows(tri.ends_o, tri.B_c_inv, tri.b_o)
-    values += np.outer(bsdf, g_nu)
-    return FactorMatrix(
-        values=values,
-        row_labels=tri.grid_o.branch_ids,
-        col_labels=tri.bus_ids_o,
-        kind=PTDF,
-    )
+    """PTDF of the open grid, read off the split inverse: the padded PTDF
+    plus the outer product of the bsdf vector with ``(1 - B_c^-1 B_o) nu``."""
+    return ptdf_matrix(system_from_inverse(tri.grid_o, split_inverse(tri)))
 
 
 def lodf_after_split(tri: TriConfig, branch: int) -> np.ndarray:
-    """LODF column in the open grid without forming its full inverse.
-
-    Only the products ``B_o^-1 nu_e`` and ``nu_e^T B_o^-1 nu_e`` are
-    needed; both expand from the padded inverse plus the rank-one split
-    correction.
-    """
-    g_nu, s_val = _single_split_pieces(tri)
-    e = tri.grid_o.branch_index.get(branch)
-    if e is None:
-        raise GridStructureError(f"unknown branch {branch}")
-    b_e = tri.b_o[e]
-    if b_e <= 0.0:
-        raise GridStructureError(f"branch {branch} is not in service")
-    nu_e = tri.E_o_r[:, e]
-    z = tri.B_c_inv @ nu_e + g_nu * (float(g_nu @ nu_e) / s_val)  # B_o^-1 nu_e
-    transfer = float(nu_e @ z)
-    denom = 1.0 - b_e * transfer
-    if abs(denom) <= OUTAGE_RTOL * max(1.0, abs(b_e * transfer)):
-        raise IslandingError(
-            f"outage of branch {branch} islands the split grid",
-            criterion=denom,
-        )
-    g = _end_diff(tri.ends_o, z)[:, None]
-    return lodf_tail(tri.b_o, g, np.array([denom]), [e], np.array([False]))[:, 0]
+    """LODF column in the open grid: :func:`lodf_column` on the split inverse."""
+    return lodf_column(system_from_inverse(tri.grid_o, split_inverse(tri)), branch)
 
 
 # --- bus split: idle-bus route ------------------------------------------------
@@ -390,10 +369,10 @@ def idle_bus_split(
 ) -> np.ndarray:
     """Open-grid inverse via rewiring branches onto idle buses.
 
-    Each split contributes a rank-two factored update (the rewired
-    incidence bundle and the busbar transfer vector); the idle bus itself
-    enters through a fictitious grounding tie to the slack whose removal
-    rides along in the same update, so the choice of ``grounding_b``
+    Each new bus starts idle, tied to the slack by a fictitious branch of
+    susceptance ``grounding_b``: the intermediate grid's inverse is block
+    diagonal. One Woodbury update then outages each moved branch, closes a
+    copy of it at its new ends and removes the ties, so ``grounding_b``
     cancels exactly. Agrees with :func:`split_inverse`.
     """
     if isinstance(splits, SplitSpec):
@@ -401,65 +380,24 @@ def idle_bus_split(
     if not splits:
         return sys.B_inv.copy()
     tri = pad_inverse(sys, splits)
-    n_o = len(tri.bus_ids_o)
-    m = tri.n_splits
-
-    # grounded inverse of the idle-bus intermediate: block diagonal of the
-    # merged inverse and the fictitious grounding ties
-    n_m = sys.B_inv.shape[0]
+    grid_o = tri.grid_o
+    n_m, n_o = sys.n, len(tri.bus_ids_o)
     C = np.zeros((n_o, n_o))
     C[:n_m, :n_m] = sys.B_inv
-    for k in range(m):
-        i = tri.index_map_o[tri.splits[k].new_bus]
-        C[i, i] = 1.0 / grounding_b
-
-    # factored change of the grounded matrix: per split k with couplers
-    # w_k = u_parent - u_new, g_k the susceptance-weighted old incidence of
-    # the moved branches and c_k their total susceptance,
-    #   dB_k = c_k w w^T + w g^T + g w^T - b_f u_new u_new^T
-    U = np.zeros((n_o, 3 * m))
-    A_inv = np.zeros((3 * m, 3 * m))
-    grid_pre = sys.grid
-    for k, r in enumerate(tri.splits):
-        w = tri.U[:, k]
-        g = np.zeros(n_o)
-        c = 0.0
-        # old incidence of each moved branch, oriented away from the parent
-        for branch_id in r.moved:
-            br = grid_pre.branch(branch_id)
-            b_e = br.effective_susceptance
-            if b_e == 0.0:
-                continue
-            other = br.to_bus if br.from_bus == r.parent else br.from_bus
-            if other in tri.index_map_o:
-                g[tri.index_map_o[other]] += b_e
-            if r.parent in tri.index_map_o:
-                g[tri.index_map_o[r.parent]] -= b_e
-            c += b_e
-        u_new = np.zeros(n_o)
-        u_new[tri.index_map_o[r.new_bus]] = 1.0
-        U[:, 3 * k] = w
-        U[:, 3 * k + 1] = g
-        U[:, 3 * k + 2] = u_new
-        A_inv[3 * k, 3 * k + 1] = 1.0
-        A_inv[3 * k + 1, 3 * k] = 1.0
-        A_inv[3 * k + 1, 3 * k + 1] = -c
-        A_inv[3 * k + 2, 3 * k + 2] = -1.0 / grounding_b
-        grid_pre = apply_split(grid_pre, SplitSpec(
-            parent_bus=r.parent,
-            assignments={bid: NEW for bid in r.moved},
-            new_bus=r.new_bus,
-            injection_to_new=r.injection_to_new,
-        ))
-
-    CU = C @ U
-    UCU = U.T @ CU
-    inner = A_inv + UCU
-    X = guarded_solve(
-        inner,
-        CU.T,
-        context="bus split via idle bus",
-        scale=max(np.abs(A_inv).max(), np.abs(UCU).max()),
-    )
-    B_o_inv = C - CU @ X
-    return 0.5 * (B_o_inv + B_o_inv.T)
+    C[np.arange(n_m, n_o), np.arange(n_m, n_o)] = 1.0 / grounding_b
+    first_id = max(grid_o.branch_ids, default=0) + 1
+    extra: list[Branch] = []
+    mods: list[tuple[int, float]] = []
+    for br, br_o in zip(sys.grid.branches, grid_o.branches):
+        b = br.effective_susceptance
+        if b > 0.0 and (br.from_bus, br.to_bus) != (br_o.from_bus, br_o.to_bus):
+            extra.append(Branch(first_id + len(extra), br_o.from_bus, br_o.to_bus, 0.0))
+            mods += [(br.id, -b), (extra[-1].id, b)]
+    for r in tri.splits:
+        extra.append(Branch(first_id + len(extra), r.new_bus, grid_o.slack, grounding_b))
+        mods.append((extra[-1].id, -grounding_b))
+    grid_i = Grid(buses=grid_o.buses, branches=sys.grid.branches + tuple(extra))
+    sys_i = system_from_inverse(grid_i, C)
+    cols = [grid_i.branch_index[bid] for bid, _ in mods]
+    s_inv = 1.0 / np.array([d for _, d in mods])
+    return _LowRank(sys_i, cols).updated("bus split via idle bus", s_inv=s_inv)

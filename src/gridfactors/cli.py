@@ -46,6 +46,7 @@ from . import (
     solve_flow,
     system_from_inverse,
     to_grid,
+    woodbury_update,
     write_factors,
 )
 from .grid_model import PST, SWITCH
@@ -226,35 +227,45 @@ def apply_modifications(grid: Grid, doc: dict, sys: GroundedSystem | None = None
     Returns the final grid and the system carrying its updated inverse;
     every stage works on the previous stage's inverse without any
     refactorization. ``sys`` is the grounded system of ``grid`` when the
-    caller has already built it; otherwise it is built here.
+    caller has already built it; otherwise it is built here. A switch that
+    ends at a split's parent bus (other than the slack) or moves to its new
+    bus is set after the splits, on the split grid: the split expression
+    holds only while no closed switch ends at a grounded bus of an opened
+    coupler.
     """
     if sys is None:
         sys = build_grounded_system(grid)
 
     deltas = [(int(d["branch"]), float(d["db"])) for d in doc.get("deltas", [])]
     if deltas:
-        from .multi_mod import woodbury_update
-
         B1 = woodbury_update(sys, ModificationSet(entries=tuple(deltas)))
         grid = rebuild_grid(grid, deltas=deltas)
         sys = system_from_inverse(grid, B1)
 
-    switches = doc.get("switches", {})
-    if switches:
-        states = SwitchStates.from_mapping(
-            {int(k): v for k, v in switches.items()}
-        )
-        B2 = multi_merge_inverse(sys, states)
-        sys = system_from_inverse(grid, B2)
-
+    switches = {int(k): v for k, v in doc.get("switches", {}).items()}
     splits = [_split_from_doc(d) for d in doc.get("splits", [])]
+    late = {
+        s for s in switches if s in grid.branch_index and any(
+            sp.parent_bus in (grid.branch(s).from_bus, grid.branch(s).to_bus)
+            and (sp.parent_bus != grid.slack or sp.assignments.get(s) == "new")
+            for sp in splits
+        )
+    }
+
+    def merge(grid: Grid, sys: GroundedSystem, picked: dict) -> GroundedSystem:
+        if not picked:
+            return sys
+        return system_from_inverse(
+            grid, multi_merge_inverse(sys, SwitchStates.from_mapping(picked))
+        )
+
+    sys = merge(grid, sys, {s: v for s, v in switches.items() if s not in late})
     if splits:
         tri = pad_inverse(sys, splits)
         B3 = multi_split_inverse(tri)
         grid = tri.grid_o
         sys = system_from_inverse(grid, B3)
-
-    return grid, sys
+    return grid, merge(grid, sys, {s: switches[s] for s in late})
 
 
 def cmd_whatif(args) -> int:
@@ -269,7 +280,6 @@ def cmd_whatif(args) -> int:
             raise CaseParseError("--enumerate requires a 'switches' entry")
         kernel = SwitchKernel(sys0, switches)
         shifts = grid.shift_angles()
-        cols = np.array([grid.branch_index[s] for s in switches])
         rows = []
         for bits in itertools.product((False, True), repeat=len(switches)):
             states = SwitchStates(switches=tuple(switches), closed=bits)
@@ -281,9 +291,8 @@ def cmd_whatif(args) -> int:
                 continue
             flows = compute_flows(sys0, theta, shifts).flows
             # a closed entry carries its own flow plus the closure's; an open
-            # one (a line or PST listed as a switch) keeps its computed flow
-            closed = np.array(bits)
-            flows[cols[closed]] += switch_flows[closed]
+            # one (a line or PST listed as a switch) has a zero closure flow
+            flows[kernel.cols] += switch_flows
             rows.append(
                 {
                     "setting": setting,

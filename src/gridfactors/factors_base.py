@@ -1,18 +1,28 @@
-"""Baseline DC solution: angles, branch flows, and the reference PTDF matrix.
+"""Baseline DC solution: angles, branch flows, the reference PTDF matrix,
+and the endpoint low-rank kernel that every branch update runs on.
 
 Given the grounded system, angles follow from ``theta = B^-1 p`` and flows
 from ``f = diag(b) E^T theta``. Stacking the two gives the matrix of power
 transfer distribution factors ``PTDF = diag(b) E^T B^-1`` mapping bus
 injections (slack-referenced) to branch flows.
+
+Every branch susceptance change, finite or ideal, runs on one endpoint
+low-rank kernel, :class:`_LowRank`. Its M = 1 readers are
+``updated_inverse``, ``lcdf_column``, ``merge_inverse`` and
+``switch_flow``; ``woodbury_update``, ``SwitchKernel``, ``idle_bus_split``
+and ``outage_factors`` (its gathers only) read it for M branches. Bus splits
+run on the other kernel, ``bus_topology._split_kernel``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import GridStructureError
+from ._linalg import PIVOT_RTOL, guarded_solve
+from .errors import DegenerateSwitchError, GridStructureError, IslandingError
 from .grid_model import PST, Grid, GroundedSystem
 
 PTDF = "PTDF"
@@ -150,29 +160,119 @@ def _end_diff(ends: tuple[np.ndarray, np.ndarray], X: np.ndarray) -> np.ndarray:
     """``E^T X``: the rows of ``X`` at each branch's from end minus its to end.
 
     ``ends`` are grounded endpoint rows (``GroundedSystem.branch_ends``);
-    the slack's pad index ``n`` reads a zero row. Gathers only, no product.
+    the slack's pad index ``X.shape[0]`` reads a zero row. Gathers only: no
+    product, and no padded copy of a matrix ``X``.
     """
     frm, to = ends
-    padded = np.zeros((X.shape[0] + 1,) + X.shape[1:])
-    padded[:-1] = X
-    out = padded[frm]
-    out -= padded[to]
+    n = X.shape[0]
+    if X.ndim == 1:  # padding a vector costs less than masking its gathers
+        padded = np.zeros(n + 1)
+        padded[:n] = X
+        return padded[frm] - padded[to]
+    out = np.take(X, frm, axis=0, mode="clip")
+    out[frm == n] = 0.0
+    sub = np.take(X, to, axis=0, mode="clip")
+    sub[to == n] = 0.0
+    out -= sub
     return out
 
 
-def _ptdf_rows(ends: tuple[np.ndarray, np.ndarray], B_inv: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """PTDF values ``diag(b) E^T B_inv`` for the branches with endpoints ``ends``.
+class _LowRank:
+    """Update of a grounded inverse along the incidence columns ``U`` of some branches.
+
+    ``W = B^-1 U`` and ``K = U^T W`` are gathered on the branch endpoints
+    (the slack on the zero pad); ``K_d``, the diagonal of ``K``, holds each
+    branch's transfer impedance. :meth:`solve` runs one guarded solve on
+    one of the two brackets of Hager's rank-M update (W. W. Hager,
+    "Updating the inverse of a matrix", SIAM Review 31(2), 1989):
+    ``S^-1 + K`` for finite changes ``S``, or ``K_d + (K - K_d) Xi`` for
+    ideal closures ``Xi`` (0 open, 1 closed), its limit as the closed
+    susceptances diverge.
+    """
+
+    def __init__(self, sys: GroundedSystem, cols):
+        self.sys = sys
+        self.cols = cols = np.asarray(cols, dtype=np.intp)
+        self.ends = (sys.branch_ends[0][cols], sys.branch_ends[1][cols])
+        self.W = np.ascontiguousarray(_end_diff(self.ends, sys.B_inv).T)
+        self.K = _end_diff(self.ends, self.W)
+        self.K_d = np.diag(self.K).copy()
+        # K_d ~ 1/b: tested against B^-1_ff + B^-1_tt, the terms it is the difference of
+        d = np.append(np.diagonal(sys.B_inv), 0.0)
+        self.degenerate = self.K_d <= PIVOT_RTOL * (d[self.ends[0]] + d[self.ends[1]])
+
+    def closure(self, closed) -> np.ndarray:
+        """Closure diagonal ``Xi``: exactly 0 (open) or 1 (closed) per branch,
+        once every branch's transfer impedance passes the ``degenerate`` test."""
+        if self.degenerate.any():
+            ids = [self.sys.grid.branches[c].id for c in self.cols[self.degenerate]]
+            raise DegenerateSwitchError(
+                f"switches {ids} have no transfer impedance in the all-open reference"
+            )
+        return np.array([1.0 if c else 0.0 for c in closed])
+
+    def solve(self, rhs: np.ndarray, context: str, s_inv=None, xi=None) -> np.ndarray:
+        """Solve the finite bracket (``s_inv = 1 / S``) or the closure bracket
+        (``xi``); a singular closure bracket raises DegenerateSwitchError."""
+        if xi is None:
+            bracket = np.diag(s_inv) + self.K
+            scale = max(np.abs(s_inv).max(), np.abs(self.K).max())
+            return guarded_solve(bracket, rhs, context, scale)
+        bracket = np.diag(self.K_d) + (self.K - np.diag(self.K_d)) * xi
+        try:
+            return guarded_solve(bracket, rhs, context, np.abs(self.K).max())
+        except IslandingError as exc:
+            raise self._redundant_closing(xi) from exc
+
+    def updated(self, context: str, s_inv=None, xi=None) -> np.ndarray:
+        """The updated inverse ``B^-1 - W Xi X`` (``Xi = 1`` for finite changes)."""
+        X = self.solve(self.W.T, context, s_inv, xi)
+        W = self.W if xi is None else self.W * xi
+        return self.sys.B_inv - W @ X
+
+    def _redundant_closing(self, xi: np.ndarray) -> DegenerateSwitchError:
+        """Tell a redundant closing apart from corrupt data: union-find over the
+        closed branches finds one whose terminals the others already merged."""
+        parent: dict[int, int] = {}
+
+        def find(x: int) -> int:
+            while parent.setdefault(x, x) != x:
+                x = parent[x]
+            return x
+
+        for c, closed in zip(self.cols, xi):
+            if not closed:
+                continue
+            br = self.sys.grid.branches[c]
+            ra, rb = find(br.from_bus), find(br.to_bus)
+            if ra == rb:
+                return DegenerateSwitchError(
+                    f"closing switch {br.id} is redundant: its terminals are already "
+                    "merged through other closed switches"
+                )
+            parent[ra] = rb
+        return DegenerateSwitchError(
+            "multi-switch merge produced a singular closure system"
+        )
+
+
+def _wrap_ptdf(
+    sys: GroundedSystem, B_inv: np.ndarray, b: np.ndarray, drop: Sequence[int] = ()
+) -> FactorMatrix:
+    """PTDF ``diag(b) E^T B_inv`` for an inverse and susceptances in the
+    coordinates of ``sys`` (such as updated ones), rows of ``drop`` left out.
 
     Row ``e`` is ``b_e (B_inv[from e] - B_inv[to e])``, gathered on the
-    branch endpoints with the slack on a zero pad row: O(nm), no product.
-    ``B_inv`` may be any inverse in the grounded coordinates of ``ends``,
-    such as one updated for a modification, and ``b`` the matching
-    susceptances. Rows with ``b_e = 0`` are exact +0.0 (not -0.0).
+    branch endpoints: O(nm), no product. Rows with ``b_e = 0`` are +0.0.
     """
-    rows = _end_diff(ends, B_inv)
-    rows *= b[:, None]
-    rows[b == 0.0] = 0.0
-    return rows
+    values = _end_diff(sys.branch_ends, B_inv)
+    values *= b[:, None]
+    values[b == 0.0] = 0.0
+    rows = sys.grid.branch_ids
+    if drop:
+        keep = [i for i, bid in enumerate(rows) if bid not in drop]
+        values, rows = values[keep], tuple(rows[i] for i in keep)
+    return FactorMatrix(values=values, row_labels=rows, col_labels=sys.bus_ids, kind=PTDF)
 
 
 def ptdf_matrix(sys: GroundedSystem) -> FactorMatrix:
@@ -181,9 +281,4 @@ def ptdf_matrix(sys: GroundedSystem) -> FactorMatrix:
     ``PTDF = diag(b) E^T B^-1`` with the slack column omitted, read off the
     rows of the grounded inverse at each branch's endpoints.
     """
-    return FactorMatrix(
-        values=_ptdf_rows(sys.branch_ends, sys.B_inv, sys.b),
-        row_labels=sys.grid.branch_ids,
-        col_labels=sys.bus_ids,
-        kind=PTDF,
-    )
+    return _wrap_ptdf(sys, sys.B_inv, sys.b)

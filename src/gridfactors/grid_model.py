@@ -196,6 +196,14 @@ class Grid:
         )
 
 
+def _branch_col(grid: Grid, branch_id: int) -> int:
+    """Position of a branch (its incidence column); GridStructureError if unknown."""
+    e = grid.branch_index.get(branch_id)
+    if e is None:
+        raise GridStructureError(f"unknown branch {branch_id}")
+    return e
+
+
 def connected_components(
     grid: Grid,
     removed_branches: Iterable[int] = (),
@@ -347,6 +355,27 @@ def build_incidence(grid: Grid) -> IncidenceMatrix:
     )
 
 
+class _Lazy:
+    """Dataclass field given as ``None`` and built by ``build(obj)`` on first read."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name):
+        self.key = "_lazy_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.key)  # no default: the field stays required
+        value = obj.__dict__.get(self.key)
+        if value is None:
+            value = obj.__dict__[self.key] = self.build(obj)
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.key] = value
+
+
 @dataclass(frozen=True, eq=False)
 class GroundedSystem:
     """Grounded nodal susceptance matrix, its dense inverse, and bookkeeping.
@@ -356,6 +385,8 @@ class GroundedSystem:
     slack-reduced incidence matrix and ``b`` the effective branch
     susceptances, so ``B = E_r diag(b) E_r^T``; ``B`` itself is scattered
     from the endpoint arrays ``branch_ends``, not formed as that product.
+    No kernel reads ``E_r``: it is built from ``branch_ends`` on its first
+    read (pass ``None``).
 
     ``chol`` is ``(L, True)`` with ``L`` the lower Cholesky factor of ``B``:
     it proves ``B`` positive definite and gives ``B_inv = L^-T L^-1``,
@@ -368,7 +399,7 @@ class GroundedSystem:
     slack: int
     bus_ids: tuple[int, ...]
     index_map: dict[int, int]
-    E_r: np.ndarray
+    E_r: np.ndarray = _Lazy(lambda s: _incidence(s.branch_ends, s.n))
     b: np.ndarray
     B_inv: np.ndarray
     B: np.ndarray | None = None
@@ -390,7 +421,9 @@ class GroundedSystem:
 
     def nu(self, branch_id: int) -> np.ndarray:
         """Terminal incidence vector of a branch in grounded coordinates."""
-        return self.E_r[:, self.grid.branch_index[branch_id]]
+        e = self.grid.branch_index[branch_id]
+        ends = [self.branch_ends[0][e], self.branch_ends[1][e]]  # the slack on the pad
+        return np.bincount(ends, [1.0, -1.0], minlength=self.n + 1)[: self.n]
 
     @cached_property
     def _non_slack_rows(self) -> np.ndarray:
@@ -436,7 +469,7 @@ def _system(grid: Grid, coords, B_inv: np.ndarray, **factors) -> GroundedSystem:
         slack=grid.slack,
         bus_ids=grid.grounded_bus_ids,
         index_map=index_map,
-        E_r=_incidence(ends, len(index_map)),
+        E_r=None,
         b=grid.susceptances(),
         B_inv=B_inv,
         **factors,

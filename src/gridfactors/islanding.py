@@ -12,10 +12,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ._linalg import OUTAGE_RTOL  # noqa: F401 - the outage islanding tolerance
 from .bus_topology import TriConfig, split_criterion
-from .errors import GridStructureError
-from .grid_model import Grid, GroundedSystem, connected_components
+from .grid_model import Grid, GroundedSystem, _branch_col, connected_components
 from .single_mod import outage_factors
 
 
@@ -25,10 +23,7 @@ def outage_islands(sys: GroundedSystem, branch: int) -> tuple[bool, float]:
     Returns ``(islands, 1 - b_e nu^T B^-1 nu)``; the scalar is compared to
     zero with ``OUTAGE_RTOL`` scaled by the transfer term.
     """
-    e = sys.grid.branch_index.get(branch)
-    if e is None:
-        raise GridStructureError(f"unknown branch {branch}")
-    out = outage_factors(sys, [e])
+    out = outage_factors(sys, [_branch_col(sys.grid, branch)])
     return bool(out.islands[0]), float(out.criterion[0])
 
 

@@ -19,7 +19,7 @@ from .factors_base import (
     _shifted_injections,
     ptdf_matrix,
 )
-from .grid_model import Grid, GroundedSystem, PST
+from .grid_model import Grid, GroundedSystem, PST, _branch_col
 
 
 def shift_vector(grid: Grid, shifts: dict[int, float] | None = None) -> np.ndarray:
@@ -31,9 +31,7 @@ def shift_vector(grid: Grid, shifts: dict[int, float] | None = None) -> np.ndarr
         return grid.shift_angles()
     vec = np.zeros(grid.n_branches)
     for branch_id, angle in shifts.items():
-        idx = grid.branch_index.get(branch_id)
-        if idx is None:
-            raise GridStructureError(f"unknown branch {branch_id}")
+        idx = _branch_col(grid, branch_id)
         if angle != 0.0 and grid.branches[idx].kind != PST:
             raise GridStructureError(
                 f"branch {branch_id}: phase shift on a non-pst branch"

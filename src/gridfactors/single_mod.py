@@ -1,10 +1,11 @@
 """Single-branch susceptance changes, line outages and line closings.
 
-All of these are rank-one updates of the grounded matrix, handled by the
-Sherman-Morrison formula. The derived quantities are the updated inverse
-and PTDF, the line outage distribution factor (LODF) column, the angle
-difference left across an outaged branch, and the line closing distribution
-factor (LCDF) column.
+All of these are rank-one updates of the grounded matrix (the
+Sherman-Morrison formula): M = 1 calls of the endpoint low-rank kernel
+``factors_base._LowRank`` with the finite bracket ``1 / delta_b + t``. The
+derived quantities are the updated inverse and PTDF, the line outage
+distribution factor (LODF) column, the angle difference left across an
+outaged branch, and the line closing distribution factor (LCDF) column.
 
 Outages of many branches share one kernel, :func:`outage_factors`, which
 gathers rows of the inverse on branch endpoints (Guo, Fu, Li and
@@ -22,11 +23,8 @@ import numpy as np
 
 from ._linalg import OUTAGE_RTOL, SUSCEPTANCE_FLOOR
 from .errors import GridStructureError, IslandingError
-from .factors_base import FactorMatrix, PTDF, _ptdf_rows
-from .grid_model import GroundedSystem
-
-#: relative tolerance of the scale-aware zero test on the update denominator
-DENOM_RTOL = 1e-8
+from .factors_base import FactorMatrix, _LowRank, _end_diff, _wrap_ptdf
+from .grid_model import GroundedSystem, _branch_col
 
 
 @dataclass(frozen=True)
@@ -39,9 +37,7 @@ class BranchDelta:
 
 
 def _check_delta(sys: GroundedSystem, d: BranchDelta) -> int:
-    e = sys.grid.branch_index.get(d.branch)
-    if e is None:
-        raise GridStructureError(f"unknown branch {d.branch}")
+    e = _branch_col(sys.grid, d.branch)
     if sys.b[e] + d.delta_b < SUSCEPTANCE_FLOOR:
         raise GridStructureError(
             f"branch {d.branch}: susceptance would become negative "
@@ -50,31 +46,14 @@ def _check_delta(sys: GroundedSystem, d: BranchDelta) -> int:
     return e
 
 
-def _sm_denominator(sys: GroundedSystem, e: int, delta_b: float) -> tuple[np.ndarray, float, float]:
-    """Sherman-Morrison pieces: ``w = B^-1 nu_e`` and ``1 + db nu^T w``."""
-    nu = sys.E_r[:, e]
-    w = sys.B_inv @ nu
-    transfer = float(nu @ w)
-    denom = 1.0 + delta_b * transfer
-    return w, transfer, denom
-
-
-def _require_safe(denom: float, scale: float, what: str) -> None:
-    if abs(denom) <= DENOM_RTOL * max(1.0, abs(scale)):
-        raise IslandingError(
-            f"{what} would island the grid (denominator {denom:.3g})",
-            criterion=denom,
-        )
-
-
 def updated_inverse(sys: GroundedSystem, d: BranchDelta) -> np.ndarray:
     """Inverse of the grounded matrix after one susceptance change."""
     e = _check_delta(sys, d)
     if d.delta_b == 0.0:
         return sys.B_inv
-    w, transfer, denom = _sm_denominator(sys, e, d.delta_b)
-    _require_safe(denom, d.delta_b * transfer, f"modifying branch {d.branch}")
-    return sys.B_inv - np.outer(w, w) * (d.delta_b / denom)
+    return _LowRank(sys, [e]).updated(
+        f"modifying branch {d.branch}", s_inv=np.array([1.0 / d.delta_b])
+    )
 
 
 def ptdf_after_mod(sys: GroundedSystem, d: BranchDelta) -> FactorMatrix:
@@ -84,16 +63,9 @@ def ptdf_after_mod(sys: GroundedSystem, d: BranchDelta) -> FactorMatrix:
     updated inverse: ``PTDF_m = diag(b_m) E^T B_m^-1``.
     """
     B_m_inv = updated_inverse(sys, d)
-    e = sys.grid.branch_index[d.branch]
     b_m = sys.b.copy()
-    b_m[e] += d.delta_b
-    values = _ptdf_rows(sys.branch_ends, B_m_inv, b_m)
-    return FactorMatrix(
-        values=values,
-        row_labels=sys.grid.branch_ids,
-        col_labels=sys.bus_ids,
-        kind=PTDF,
-    )
+    b_m[sys.grid.branch_index[d.branch]] += d.delta_b
+    return _wrap_ptdf(sys, B_m_inv, b_m)
 
 
 class OutageFactors(NamedTuple):
@@ -106,60 +78,43 @@ class OutageFactors(NamedTuple):
     lodf: np.ndarray  #: m x k LODF block, NaN columns where the outage islands
 
 
-def lodf_tail(
-    b: np.ndarray,
-    g: np.ndarray,
-    denom: np.ndarray,
-    cols: Sequence[int],
-    islands: np.ndarray,
-) -> np.ndarray:
-    """LODF columns ``b * g / denom`` with each self-entry exactly -1.
-
-    ``g[:, j]`` is ``E^T B^-1 nu_e`` for the outaged branch ``e = cols[j]``
-    and ``denom[j]`` its criterion ``1 - b_e t_e``. Columns flagged in
-    ``islands`` are never divided and come back as NaN.
-    """
-    lodf = b[:, None] * g
-    np.divide(lodf, denom, out=lodf, where=~islands)
-    lodf[cols, np.arange(len(cols))] = -1.0
-    lodf[:, islands] = np.nan
-    return lodf
-
-
 def outage_factors(sys: GroundedSystem, branch_idx: Sequence[int]) -> OutageFactors:
     """Islanding criteria and LODF columns for outaging each listed branch.
 
-    ``branch_idx`` holds k branch positions (incidence columns). With
-    ``W = B^-1[from_k] - B^-1[to_k]`` gathered on the outaged branches'
-    endpoints, ``H = (W[:, from] - W[:, to])^T`` (m x k) holds
-    ``E^T B^-1 nu_e`` for the j-th outage ``e`` in column j, so
-    ``t_e = H[e, j]`` and ``LODF = diag(b) H / (1 - b_e t_e)``. Only gathers on branch endpoints
-    are used, no matrix product: a block costs O(k (n + m)).
+    ``branch_idx`` holds k branch positions (incidence columns). The
+    endpoint kernel gathers ``W = B^-1 U`` on the outaged branches'
+    endpoints and ``t_e`` as the diagonal of ``U^T W``; ``H = E^T W``
+    (m x k, gathered on every branch's endpoints) holds ``E^T B^-1 nu_e``
+    for the j-th outage ``e`` in column j, and ``LODF = diag(b) H / (1 -
+    b_e t_e)``. Only gathers on branch endpoints are used, no matrix
+    product: a block costs O(k (n + m)).
     """
     cols = np.atleast_1d(np.asarray(branch_idx, dtype=np.intp))
-    frm, to = sys.branch_ends
-    n = sys.n
-    W = np.zeros((len(cols), n + 1))  # column n is the slack pad, kept at zero
-    live = frm[cols] < n
-    W[live, :n] = sys.B_inv[frm[cols[live]]]
-    live = to[cols] < n
-    W[live, :n] -= sys.B_inv[to[cols[live]]]
-    H = (W[:, frm] - W[:, to]).T
-    transfer = sys.b[cols] * H[cols, np.arange(len(cols))]
+    up = _LowRank(sys, cols)
+    transfer = sys.b[cols] * up.K_d
     criterion = 1.0 - transfer
     islands = np.abs(criterion) <= OUTAGE_RTOL * np.maximum(1.0, np.abs(transfer))
-    return OutageFactors(
-        criterion, transfer, islands, lodf_tail(sys.b, H, criterion, cols, islands)
-    )
+    lodf = _end_diff(sys.branch_ends, up.W)  # H
+    lodf *= sys.b[:, None]
+    np.divide(lodf, criterion, out=lodf, where=~islands)  # islanded columns: never divided
+    lodf[cols, np.arange(len(cols))] = -1.0  # the self-entries exactly
+    lodf[:, islands] = np.nan
+    return OutageFactors(criterion, transfer, islands, lodf)
 
 
-def _in_service(sys: GroundedSystem, branch: int) -> int:
-    e = sys.grid.branch_index.get(branch)
-    if e is None:
-        raise GridStructureError(f"unknown branch {branch}")
+def _single_outage(sys: GroundedSystem, branch: int) -> tuple[int, OutageFactors]:
+    """Position and outage factors of one in-service branch; IslandingError for a bridge."""
+    e = _branch_col(sys.grid, branch)
     if sys.b[e] <= 0.0:
         raise GridStructureError(f"branch {branch} is not in service")
-    return e
+    out = outage_factors(sys, [e])
+    if out.islands[0]:
+        raise IslandingError(
+            f"outage of branch {branch} would island the grid "
+            f"(criterion {out.criterion[0]:.3g})",
+            criterion=float(out.criterion[0]),
+        )
+    return e, out
 
 
 def lodf_column(sys: GroundedSystem, branch: int) -> np.ndarray:
@@ -168,25 +123,18 @@ def lodf_column(sys: GroundedSystem, branch: int) -> np.ndarray:
     The self-entry is exactly -1: the outaged branch carries no flow
     afterwards.
     """
-    out = outage_factors(sys, [_in_service(sys, branch)])
-    criterion, transfer = float(out.criterion[0]), float(out.transfer[0])
-    _require_safe(criterion, transfer, f"outage of branch {branch}")
-    return out.lodf[:, 0]
+    return _single_outage(sys, branch)[1].lodf[:, 0]
 
 
 def post_outage_angle_diff(sys: GroundedSystem, branch: int, f_r: np.ndarray) -> float:
     """Angle difference across ``branch`` after its own outage.
 
     Evaluates ``[b_e + db (PTDF_ei - PTDF_ej)]^-1 u_e^T f_r`` with
-    ``db = -b_e``; zero pre-outage flow gives zero angle difference.
+    ``db = -b_e``, that is ``f_r[e] / (b_e (1 - b_e t_e))``; zero pre-outage
+    flow gives zero angle difference.
     """
-    e = _in_service(sys, branch)
-    b_e = sys.b[e]
-    # PTDF_{e,i} - PTDF_{e,j} = b_e nu^T B^-1 nu, so b_e times it is the transfer term
-    transfer = float(outage_factors(sys, [e]).transfer[0])
-    denom = b_e - b_e * transfer
-    _require_safe(denom / b_e, transfer, f"outage of branch {branch}")
-    return float(np.asarray(f_r)[e]) / denom
+    e, out = _single_outage(sys, branch)
+    return float(np.asarray(f_r)[e]) / (sys.b[e] * float(out.criterion[0]))
 
 
 def lcdf_column(sys: GroundedSystem, branch: int, new_b: float) -> np.ndarray:
@@ -196,9 +144,7 @@ def lcdf_column(sys: GroundedSystem, branch: int, new_b: float) -> np.ndarray:
     susceptance. Flows update as ``f_m = f_r + col * (nu_e^T theta_r)``,
     the angle difference across the still-open branch.
     """
-    e = sys.grid.branch_index.get(branch)
-    if e is None:
-        raise GridStructureError(f"unknown branch {branch}")
+    e = _branch_col(sys.grid, branch)
     if sys.b[e] != 0.0:
         raise GridStructureError(
             f"branch {branch} is already in service (b={sys.b[e]}); "
@@ -206,11 +152,11 @@ def lcdf_column(sys: GroundedSystem, branch: int, new_b: float) -> np.ndarray:
         )
     if new_b <= 0.0:
         raise GridStructureError(f"closing susceptance must be > 0, got {new_b}")
-    nu = sys.E_r[:, e]
-    w = sys.B_inv @ nu
-    denom = 1.0 + new_b * float(nu @ w)
+    up = _LowRank(sys, [e])
+    # B^-1 nu_e / (1 / new_b + t_e)
+    z = up.solve(up.W.T, f"closing branch {branch}", s_inv=np.array([1.0 / new_b]))[0]
     b_m = sys.b.copy()
     b_m[e] = new_b
-    col = new_b * (-(b_m * (sys.E_r.T @ w)) / denom)
+    col = -b_m * _end_diff(sys.branch_ends, z)
     col[e] += new_b
     return col

@@ -534,3 +534,64 @@ def test_closed_stdout_pipe_exits_without_traceback(argv, n_buses, read_first, t
     _, stderr = proc.communicate(timeout=120)
     assert proc.returncode == cli.EXIT_ERROR
     assert b"Traceback" not in stderr
+
+
+def _staged_doc(grid, switches):
+    """Deltas, switch closings and one split that keep the grid connected."""
+    from gridfactors import SplitSpec, connected_components, rebuild_grid
+
+    lines = [br for br in grid.branches if br.in_service]
+    deltas = [(lines[1].id, -0.5 * lines[1].susceptance), (lines[2].id, 0.3)]
+    for bus in grid.buses:
+        incident = [br.id for br in grid.branches_at(bus.id)]
+        if len(incident) < 3:
+            continue
+        split = SplitSpec(
+            parent_bus=bus.id, assignments={incident[0]: "new"},
+            injection_to_new=0.5 * bus.injection,
+        )
+        rebuilt = rebuild_grid(grid, deltas=deltas, closed_switches=switches, splits=[split])
+        if len(connected_components(rebuilt)) == 1:
+            break
+    else:
+        raise AssertionError("no split keeps this grid connected")
+    return {
+        "deltas": [{"branch": b, "db": d} for b, d in deltas],
+        "switches": {str(s): "closed" for s in switches},
+        "splits": [{
+            "parent": split.parent_bus,
+            "assignments": {str(b): side for b, side in split.assignments.items()},
+            "injection_to_new": split.injection_to_new,
+        }],
+    }
+
+
+def test_no_request_builds_the_dense_incidence(tmp_path, capsys, monkeypatch):
+    from gridfactors import bus_topology, grid_model
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense incidence or open-grid Laplacian built")
+
+    monkeypatch.setattr(grid_model, "_incidence", refuse)
+    monkeypatch.setattr(bus_topology, "_incidence", refuse)
+    monkeypatch.setattr(bus_topology, "_grounded_laplacian", refuse)
+    screening = screening_grid(4, 40)
+    sweep, sids = sweep_grid(4, 40)
+    cases = [(screening, [screening.branches[-1].id]), (sweep, list(sids[1:3]))]
+    for k, (grid, closed) in enumerate(cases):
+        path = tmp_path / f"grid_{k}.json"
+        path.write_text(grid_to_json(grid))
+        mods = tmp_path / f"mods_{k}.json"
+        mods.write_text(json.dumps(_staged_doc(grid, closed)))
+        sweep_mods = json.dumps({"switches": {str(s): "open" for s in closed}})
+        for argv in (
+            ["flows", str(path)],
+            ["factors", str(path), "--kind", "ptdf"],
+            ["factors", str(path), "--kind", "psdf"],
+            ["whatif", str(path), "--mods", str(mods)],
+            ["whatif", str(path), "--mods", sweep_mods, "--enumerate"],
+            ["n1", str(path)],
+            ["n1", str(path), "--after", str(mods)],
+        ):
+            assert main(argv) == 0, argv
+            assert capsys.readouterr().out

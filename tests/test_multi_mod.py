@@ -1,4 +1,6 @@
 import itertools
+import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from gridfactors import (
     BranchDelta,
     DegenerateSwitchError,
+    Grid,
     GridStructureError,
     IslandingError,
     ModificationSet,
@@ -366,3 +369,54 @@ def test_merged_angles_switch_flows_equal_kcl_recovery(seed):
             assert y[k] == pytest.approx(want, rel=1e-9, abs=1e-12), (bits, s)
         checked += len(closed)
     assert checked >= 6
+
+
+# --- scale of the susceptances -------------------------------------------------
+
+
+def _scaled(grid, c):
+    """``b -> c b`` with shifts ``t -> t / c``: angles scale by 1/c, flows stay."""
+    return Grid(
+        buses=grid.buses,
+        branches=tuple(
+            replace(br, susceptance=br.susceptance * c, shift_angle=br.shift_angle / c)
+            for br in grid.branches
+        ),
+    )
+
+
+def _enumerate_rows(grid, sids, tmp_path, capsys):
+    from gridfactors import grid_to_json
+    from gridfactors.cli import main
+
+    path = tmp_path / "sweep.json"
+    path.write_text(grid_to_json(grid))
+    doc = json.dumps({"switches": {str(s): "closed" for s in sids}})
+    assert main(["whatif", str(path), "--mods", doc, "--enumerate", "--format", "jsonl"]) == 0
+    return [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+
+
+def test_switch_closures_do_not_depend_on_the_susceptance_scale(tmp_path, capsys):
+    # the transfer impedances K_d scale as 1/b: a degeneracy test that is
+    # absolute in K_d flags every switch once all susceptances are 1e12 times larger
+    grid, sids = sweep_grid(3, 60)
+    ref = _enumerate_rows(grid, sids, tmp_path, capsys)
+    assert sum(r["islands"] for r in ref) == 4
+    redundant = SwitchStates(switches=sids, closed=(True,) * len(sids))
+    for c in (1e-12, 1.0, 1e12):
+        scaled = _scaled(grid, c)
+        rows = _enumerate_rows(scaled, sids, tmp_path, capsys)
+        assert [r["setting"] for r in rows] == [r["setting"] for r in ref]
+        assert [r["islands"] for r in rows] == [r["islands"] for r in ref]
+        for row, want in zip(rows, ref):
+            if not want["islands"]:
+                assert row["max_flow"] == pytest.approx(want["max_flow"], rel=1e-9)
+        sys_c = build_grounded_system(scaled)
+        with pytest.raises(DegenerateSwitchError) as got:
+            SwitchKernel(sys_c, sids).merged_angles(redundant, solve_flow(sys_c).angles)
+        assert str(got.value) == (
+            f"closing switch {sids[-1]} is redundant: its terminals are already "
+            "merged through other closed switches"
+        )
+        B_m = merge_inverse(sys_c, sids[1])
+        assert np.abs(B_m @ sys_c.nu(sids[1])).max() <= 1e-9 * np.abs(B_m).max()
