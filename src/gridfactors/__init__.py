@@ -58,6 +58,7 @@ from .single_mod import (
 )
 from .pst import effective_injections, psdf_matrix, shift_vector
 from .bus_topology import (
+    ComposedUpdate,
     SplitSpec,
     TriConfig,
     apply_split,

@@ -1,17 +1,19 @@
 """Bus merges and bus splits as limits of rank-one susceptance updates.
 
-Closing an ideal switch merges two buses; the Sherman-Morrison limit of
-infinite susceptance gives the merged inverse directly (``merge_inverse``
-and ``switch_flow`` are M = 1 closures of ``factors_base._LowRank``).
-Opening a busbar coupler (a bus split) is handled through three
-configurations: the merged reference, a padded "closed but not merged"
-inverse obtained by copying the parent row and column, and the open
-topology. The split inverse then follows from a closed-form expression
-that never references the diverging coupler susceptance. The split kernel
-:func:`_split_kernel` forms its pieces; ``split_criterion``,
+Closing an ideal switch merges two buses: the infinite-susceptance limit,
+a column with ``1/s = 0`` of the endpoint kernel ``factors_base._LowRank``
+(``merge_inverse`` and ``switch_flow`` read ``multi_mod.SwitchKernel`` for
+one switch). Opening a busbar coupler (a bus split) is handled through
+three configurations: the merged reference, a padded "closed but not
+merged" inverse obtained by copying the parent row and column, and the
+open topology. The split inverse then follows from a closed-form
+expression that never references the diverging coupler susceptance. The
+split kernel :func:`_split_kernel` forms its pieces; ``split_criterion``,
 ``split_inverse``, ``bsdf_vector``, ``split_ptdf`` and ``lodf_after_split``
-are its M = 1 readers. An alternative route models the split as rewiring
-branches onto an idle bus and applies one low-rank Woodbury update.
+are its M = 1 readers. :class:`ComposedUpdate` rewires moved branches onto
+idle buses instead, so a whole modification set (deltas, closures and
+splits) is one endpoint-kernel update; ``idle_bus_split`` is its
+splits-only reader and the cross-check of the split kernel.
 """
 
 from __future__ import annotations
@@ -26,23 +28,26 @@ from .factors_base import (
     FactorMatrix,
     _LowRank,
     _end_diff,
+    _shifted_injections,
     _wrap_ptdf,
     ptdf_matrix,
     solve_angles,
 )
 from .grid_model import (
+    SWITCH,
     Branch,
     Bus,
     Grid,
     GroundedSystem,
     _branch_col,
+    _branch_ends,
     _grounded_coords,
     _grounded_laplacian,
     _incidence,
     _Lazy,
     system_from_inverse,
 )
-from .single_mod import lodf_column
+from .single_mod import BranchDelta, _check_delta, lodf_column
 
 PARENT = "parent"
 NEW = "new"
@@ -156,8 +161,9 @@ def merge_inverse(sys: GroundedSystem, switch: int) -> np.ndarray:
     result is singular in the unmerged coordinates and satisfies
     ``B_m^-1 nu_s = 0``: both terminals sit at the same angle.
     """
-    up = _LowRank(sys, [_branch_col(sys.grid, switch)])
-    return up.updated(f"closing switch {switch}", xi=up.closure([True]))
+    from .multi_mod import SwitchKernel, SwitchStates  # multi_mod imports this module
+
+    return SwitchKernel(sys, [switch]).merged_inverse(SwitchStates((switch,), (True,)))
 
 
 def merged_ptdf(sys: GroundedSystem, switch: int) -> FactorMatrix:
@@ -165,17 +171,11 @@ def merged_ptdf(sys: GroundedSystem, switch: int) -> FactorMatrix:
     return _wrap_ptdf(sys, merge_inverse(sys, switch), sys.b, drop=(switch,))
 
 
-def switch_flow(
-    sys: GroundedSystem,
-    switch: int,
-    p: np.ndarray | None = None,
-    merged: FactorMatrix | None = None,
-) -> float:
+def switch_flow(sys: GroundedSystem, switch: int, p: np.ndarray | None = None) -> float:
     """Flow over a closed switch, from bus to to bus.
 
     Read off ``SwitchKernel.merged_angles`` for the one switch: the closure
-    solve on the reference angles gives the switch's flow directly, so no
-    merged PTDF is needed and ``merged`` is not read.
+    solve on the reference angles gives the switch's flow directly.
     """
     from .multi_mod import SwitchKernel, SwitchStates  # multi_mod imports this module
 
@@ -192,15 +192,14 @@ def switch_flow(
 class TriConfig:
     """The three grid configurations of a bus split, plus bookkeeping.
 
-    ``sys`` is the merged reference; ``grid_o`` the open topology with the
-    new buses appended; ``ends_o`` its grounded branch endpoint rows (the
-    slack on the pad index ``n_o``); ``B_c_inv`` the padded inverse whose
-    parent and new rows/columns are identical copies; ``U`` stacks the
-    coupler incidence vectors, one column per split. The open grid's
-    incidence ``E_o_r`` and grounded matrix ``B_o`` are built on first read.
+    ``grid_o`` is the open topology with the new buses appended; ``ends_o``
+    its grounded branch endpoint rows (the slack on the pad index ``n_o``);
+    ``B_c_inv`` the padded inverse whose parent and new rows/columns are
+    identical copies; ``U`` stacks the coupler incidence vectors, one column
+    per split. The open grid's incidence ``E_o_r`` and grounded matrix
+    ``B_o`` are built on first read.
     """
 
-    sys: GroundedSystem
     grid_o: Grid
     splits: tuple[_ResolvedSplit, ...]
     bus_ids_o: tuple[int, ...]
@@ -217,6 +216,20 @@ class TriConfig:
         return len(self.splits)
 
 
+def _apply_splits(
+    grid: Grid, splits: SplitSpec | Sequence[SplitSpec]
+) -> tuple[Grid, list[_ResolvedSplit]]:
+    """Grid with the splits applied in order, each resolved on the grid it splits."""
+    if isinstance(splits, SplitSpec):
+        splits = [splits]
+    resolved = []
+    for spec in splits:
+        r = _resolve_split(grid, spec)
+        grid = apply_split(grid, replace(spec, new_bus=r.new_bus))
+        resolved.append(r)
+    return grid, resolved
+
+
 def pad_inverse(
     sys: GroundedSystem, splits: SplitSpec | Sequence[SplitSpec]
 ) -> TriConfig:
@@ -226,18 +239,10 @@ def pad_inverse(
     merged inverse (zeros when the parent is the slack); injections move
     according to the split specification.
     """
-    if isinstance(splits, SplitSpec):
-        splits = [splits]
-    if not splits:
+    grid_o, resolved = _apply_splits(sys.grid, splits)
+    if not resolved:
         raise GridStructureError("at least one split is required")
-    grid_o = sys.grid
-    resolved: list[_ResolvedSplit] = []
-    origin: dict[int, int] = {}  # new bus -> parent at the time of its split
-    for spec in splits:
-        r = _resolve_split(grid_o, spec)
-        grid_o = apply_split(grid_o, replace(spec, new_bus=r.new_bus))
-        resolved.append(r)
-        origin[r.new_bus] = r.parent
+    origin = {r.new_bus: r.parent for r in resolved}  # new bus -> parent at its split
 
     bus_ids_o = grid_o.grounded_bus_ids
     n_o = len(bus_ids_o)
@@ -262,7 +267,6 @@ def pad_inverse(
         U[index_map_o[r.new_bus], k] = -1.0
 
     return TriConfig(
-        sys=sys,
         grid_o=grid_o,
         splits=tuple(resolved),
         bus_ids_o=bus_ids_o,
@@ -360,44 +364,116 @@ def lodf_after_split(tri: TriConfig, branch: int) -> np.ndarray:
     return lodf_column(system_from_inverse(tri.grid_o, split_inverse(tri)), branch)
 
 
-# --- bus split: idle-bus route ------------------------------------------------
+# --- a modification set on the idle-bus reference -----------------------------
+
+class ComposedUpdate:
+    """Susceptance deltas, switch closures and bus splits as one low-rank update.
+
+    The reference grid is the base grid with each split's new bus idle, tied
+    to the slack by a branch of susceptance ``grounding_b`` (by default the
+    grid's largest susceptance), so its inverse is the base inverse padded
+    with ``1 / grounding_b``. One bracket ``S^-1 + K`` of
+    ``factors_base._LowRank`` on it carries a column per change: a delta on
+    an unmoved branch; a moved branch's outage at its old ends and its copy
+    at its new ends; a closed switch (or line), ``1/s = 0`` at its final
+    ends; each tie's removal, which cancels ``grounding_b``.
+
+    ``grid`` is the final grid (switches keep their kind); ``switches`` maps
+    switch ids to closed flags. A singular bracket raises
+    DegenerateSwitchError for a redundant closing, IslandingError otherwise.
+    """
+
+    def __init__(
+        self,
+        sys: GroundedSystem,
+        deltas: Sequence[tuple[int, float]] = (),
+        switches: Mapping[int, bool] | None = None,
+        splits: SplitSpec | Sequence[SplitSpec] = (),
+        grounding_b: float | None = None,
+    ):
+        grid, deltas = sys.grid, dict(deltas)
+        for bid, d in deltas.items():
+            if grid.branches[_check_delta(sys, BranchDelta(bid, d))].kind == SWITCH:
+                raise GridStructureError(
+                    f"branch {bid} is a switch: close it under 'switches', not by a delta"
+                )
+        closing = {_branch_col(grid, s): c for s, c in (switches or {}).items()}
+        branches = tuple(
+            replace(br, susceptance=max(br.susceptance + deltas[br.id], 0.0))
+            if br.id in deltas else br
+            for br in grid.branches
+        )
+        self.grid, resolved = _apply_splits(Grid(grid.buses, branches) if deltas else grid, splits)
+        g = grounding_b or float(sys.b.max(initial=0.0)) or 1.0
+        first_id = max(self.grid.branch_ids, default=0) + 1
+        cols, s_inv, extra = [], [], []  # extra: reference branches past the base grid's
+
+        def column(e: int | None, s: float, ends=(), b: float = 0.0) -> None:
+            if e is None:  # a new reference branch at ``ends``
+                e = grid.n_branches + len(extra)
+                extra.append(Branch(first_id + len(extra), *ends, b))
+            cols.append(e)
+            s_inv.append(1.0 / s)
+
+        self.switch_cols = []  # (branch, column) per closed switch
+        rewired = {grid.branch_index[b] for r in resolved for b in r.moved}
+        for e in sorted(rewired | closing.keys() | {grid.branch_index[b] for b in deltas}):
+            br, br_o = grid.branches[e], self.grid.branches[e]
+            ends = (br_o.from_bus, br_o.to_bus)
+            moved = (br.from_bus, br.to_bus) != ends
+            if moved and sys.b[e] > 0.0:
+                column(e, -sys.b[e])
+            if moved and br_o.effective_susceptance > 0.0:
+                column(None, br_o.effective_susceptance, ends)
+            if not moved and deltas.get(br.id):
+                column(e, deltas[br.id])
+            if closing.get(e):
+                self.switch_cols.append((e, len(cols)))
+                column(None if moved else e, np.inf, ends)
+        for r in resolved:
+            column(None, -g, (r.new_bus, grid.slack), g)
+        if resolved:
+            C = np.pad(sys.B_inv, (0, len(resolved)))
+            C[sys.n :, sys.n :] = np.eye(len(resolved)) / g
+            sys = system_from_inverse(Grid(self.grid.buses, grid.branches + tuple(extra)), C)
+        self.ref = sys
+        self.up = _LowRank(sys, cols) if cols else None
+        self.s_inv = np.array(s_inv)
+
+    def flows(self) -> np.ndarray:
+        """Branch flows of the final grid for its own injections and shifts.
+
+        The angles are ``theta_r - W z`` on the reference angles ``theta_r``;
+        ``z`` is the flow over each column's added branch, so a closed
+        switch carries its ``z``.
+        """
+        grid, ref = self.grid, self.ref
+        shifts = grid.shift_angles()
+        theta = ref.B_inv @ ref.reduce(_shifted_injections(grid, grid.injections(), shifts))
+        z = np.zeros(0)
+        if self.up is not None:
+            z = self.up.solve(_end_diff(self.up.ends, theta), "modification set", self.s_inv)
+            theta = theta - self.up.W @ z
+        ends = _branch_ends(grid, ref.index_map, ref.n)
+        f = grid.susceptances() * (_end_diff(ends, theta) + shifts)
+        for e, k in self.switch_cols:
+            f[e] += z[k]
+        return f
+
+    def inverse(self) -> np.ndarray:
+        """The final grid's grounded inverse, ``B_r^-1 - W (S^-1 + K)^-1 W^T``."""
+        if self.up is None:
+            return self.ref.B_inv
+        return self.up.updated("modification set", self.s_inv)
+
 
 def idle_bus_split(
     sys: GroundedSystem,
     splits: SplitSpec | Sequence[SplitSpec],
-    grounding_b: float = 1.0,
+    grounding_b: float | None = None,
 ) -> np.ndarray:
-    """Open-grid inverse via rewiring branches onto idle buses.
-
-    Each new bus starts idle, tied to the slack by a fictitious branch of
-    susceptance ``grounding_b``: the intermediate grid's inverse is block
-    diagonal. One Woodbury update then outages each moved branch, closes a
-    copy of it at its new ends and removes the ties, so ``grounding_b``
-    cancels exactly. Agrees with :func:`split_inverse`.
+    """Open-grid inverse via rewiring branches onto idle buses: the
+    :class:`ComposedUpdate` of the splits alone. ``grounding_b`` cancels
+    exactly. Agrees with :func:`split_inverse`.
     """
-    if isinstance(splits, SplitSpec):
-        splits = [splits]
-    if not splits:
-        return sys.B_inv.copy()
-    tri = pad_inverse(sys, splits)
-    grid_o = tri.grid_o
-    n_m, n_o = sys.n, len(tri.bus_ids_o)
-    C = np.zeros((n_o, n_o))
-    C[:n_m, :n_m] = sys.B_inv
-    C[np.arange(n_m, n_o), np.arange(n_m, n_o)] = 1.0 / grounding_b
-    first_id = max(grid_o.branch_ids, default=0) + 1
-    extra: list[Branch] = []
-    mods: list[tuple[int, float]] = []
-    for br, br_o in zip(sys.grid.branches, grid_o.branches):
-        b = br.effective_susceptance
-        if b > 0.0 and (br.from_bus, br.to_bus) != (br_o.from_bus, br_o.to_bus):
-            extra.append(Branch(first_id + len(extra), br_o.from_bus, br_o.to_bus, 0.0))
-            mods += [(br.id, -b), (extra[-1].id, b)]
-    for r in tri.splits:
-        extra.append(Branch(first_id + len(extra), r.new_bus, grid_o.slack, grounding_b))
-        mods.append((extra[-1].id, -grounding_b))
-    grid_i = Grid(buses=grid_o.buses, branches=sys.grid.branches + tuple(extra))
-    sys_i = system_from_inverse(grid_i, C)
-    cols = [grid_i.branch_index[bid] for bid, _ in mods]
-    s_inv = 1.0 / np.array([d for _, d in mods])
-    return _LowRank(sys_i, cols).updated("bus split via idle bus", s_inv=s_inv)
+    return ComposedUpdate(sys, splits=splits, grounding_b=grounding_b).inverse()

@@ -21,6 +21,7 @@ import numpy as np
 from . import (
     CaseConversionError,
     CaseParseError,
+    ComposedUpdate,
     DegenerateSwitchError,
     FactorMatrix,
     Grid,
@@ -35,18 +36,13 @@ from . import (
     build_grounded_system,
     compute_flows,
     grid_from_json,
-    multi_merge_inverse,
-    multi_split_inverse,
     outage_factors,
-    pad_inverse,
     parse_matpower,
     psdf_matrix,
     ptdf_matrix,
-    rebuild_grid,
     solve_flow,
     system_from_inverse,
     to_grid,
-    woodbury_update,
     write_factors,
 )
 from .grid_model import PST, SWITCH
@@ -131,33 +127,15 @@ def _flow_rows(grid: Grid, flows: np.ndarray, scale: float) -> list[dict]:
     ]
 
 
-def _closed_switch_flows(
-    grid: Grid, p: np.ndarray, flows: np.ndarray, closed: list[int]
-) -> dict[int, float]:
-    """Recover the flows over closed switches from the bus balances.
-
-    The merged solution leaves closed switches with zero formal flow (their
-    assembly susceptance is zero); the physical flows are the unique values
-    that restore Kirchhoff's law at every bus, a small least-squares solve
-    over the closed-switch incidence.
-    """
-    if not closed:
-        return {}
-    residual = np.asarray(p, dtype=float).copy()
-    bidx = grid.bus_index
-    closed_set = set(closed)
-    for e, br in enumerate(grid.branches):
-        if br.id in closed_set:
-            continue
-        residual[bidx[br.from_bus]] -= flows[e]
-        residual[bidx[br.to_bus]] += flows[e]
-    cols = np.zeros((grid.n_buses, len(closed)))
-    for k, sid in enumerate(closed):
-        br = grid.branch(sid)
-        cols[bidx[br.from_bus], k] = 1.0
-        cols[bidx[br.to_bus], k] = -1.0
-    x, *_ = np.linalg.lstsq(cols, residual, rcond=None)
-    return dict(zip(closed, x))
+def _print_max(grid: Grid, flows: np.ndarray, scale: float, fmt: str) -> None:
+    """Table footer: the largest |flow| and its branch."""
+    if fmt == "table":
+        e = int(np.argmax(np.abs(flows)))
+        br = grid.branches[e]
+        print(
+            f"max |f| = {abs(flows[e]) * scale:.3f} on branch "
+            f"({br.from_bus},{br.to_bus}) [id {br.id}]"
+        )
 
 
 def cmd_flows(args) -> int:
@@ -167,13 +145,7 @@ def cmd_flows(args) -> int:
     state = solve_flow(sys)
     rows = _flow_rows(grid, state.flows, base)
     _print_rows(rows, args.format)
-    branch_id, value = state.max_loaded()
-    br = grid.branch(branch_id)
-    if args.format == "table":
-        print(
-            f"max |f| = {value * base:.3f} on branch ({br.from_bus},{br.to_bus}) "
-            f"[id {branch_id}]"
-        )
+    _print_max(grid, state.flows, base, args.format)
     return EXIT_OK
 
 
@@ -221,51 +193,26 @@ def _split_from_doc(doc: dict) -> SplitSpec:
         raise CaseParseError(f"bad split specification: {exc!r}")
 
 
-def apply_modifications(grid: Grid, doc: dict, sys: GroundedSystem | None = None):
-    """Run the staged update pipeline: deltas, then merges, then splits.
-
-    Returns the final grid and the system carrying its updated inverse;
-    every stage works on the previous stage's inverse without any
-    refactorization. ``sys`` is the grounded system of ``grid`` when the
-    caller has already built it; otherwise it is built here. A switch that
-    ends at a split's parent bus (other than the slack) or moves to its new
-    bus is set after the splits, on the split grid: the split expression
-    holds only while no closed switch ends at a grounded bus of an opened
-    coupler.
-    """
-    if sys is None:
-        sys = build_grounded_system(grid)
-
-    deltas = [(int(d["branch"]), float(d["db"])) for d in doc.get("deltas", [])]
-    if deltas:
-        B1 = woodbury_update(sys, ModificationSet(entries=tuple(deltas)))
-        grid = rebuild_grid(grid, deltas=deltas)
-        sys = system_from_inverse(grid, B1)
-
-    switches = {int(k): v for k, v in doc.get("switches", {}).items()}
+def _composed_update(doc: dict, sys: GroundedSystem) -> ComposedUpdate:
+    """The modification JSON as one composed low-rank update of ``sys``."""
+    deltas = ModificationSet(
+        entries=tuple((int(d["branch"]), float(d["db"])) for d in doc.get("deltas", []))
+    )
+    states = SwitchStates.from_mapping({int(k): v for k, v in doc.get("switches", {}).items()})
     splits = [_split_from_doc(d) for d in doc.get("splits", [])]
-    late = {
-        s for s in switches if s in grid.branch_index and any(
-            sp.parent_bus in (grid.branch(s).from_bus, grid.branch(s).to_bus)
-            and (sp.parent_bus != grid.slack or sp.assignments.get(s) == "new")
-            for sp in splits
-        )
-    }
+    return ComposedUpdate(sys, deltas.entries, dict(zip(states.switches, states.closed)), splits)
 
-    def merge(grid: Grid, sys: GroundedSystem, picked: dict) -> GroundedSystem:
-        if not picked:
-            return sys
-        return system_from_inverse(
-            grid, multi_merge_inverse(sys, SwitchStates.from_mapping(picked))
-        )
 
-    sys = merge(grid, sys, {s: v for s, v in switches.items() if s not in late})
-    if splits:
-        tri = pad_inverse(sys, splits)
-        B3 = multi_split_inverse(tri)
-        grid = tri.grid_o
-        sys = system_from_inverse(grid, B3)
-    return grid, merge(grid, sys, {s: switches[s] for s in late})
+def apply_modifications(grid: Grid, doc: dict, sys: GroundedSystem | None = None):
+    """Apply a modification set (deltas, switch settings, splits) at once.
+
+    Returns the final grid and the system carrying its grounded inverse,
+    one :class:`ComposedUpdate` of the base inverse: no refactorization.
+    ``sys`` is the grounded system of ``grid`` when the caller has already
+    built it; otherwise it is built here.
+    """
+    up = _composed_update(doc, sys or build_grounded_system(grid))
+    return up.grid, system_from_inverse(up.grid, up.inverse())
 
 
 def cmd_whatif(args) -> int:
@@ -286,7 +233,7 @@ def cmd_whatif(args) -> int:
             setting = "".join("1" if b else "0" for b in bits)
             try:
                 theta, switch_flows = kernel.merged_angles(states, pre.angles)
-            except DegenerateSwitchError:
+            except (DegenerateSwitchError, IslandingError):
                 rows.append({"setting": setting, "max_flow": float("nan"), "islands": True})
                 continue
             flows = compute_flows(sys0, theta, shifts).flows
@@ -303,28 +250,18 @@ def cmd_whatif(args) -> int:
         _print_rows(rows, args.format)
         return EXIT_OK
 
+    up = _composed_update(doc, sys0)
     try:
-        grid_m, sys_m = apply_modifications(grid, doc, sys0)
+        flows_out = up.flows()
     except IslandingError as exc:
         print(f"modification islands the grid: {exc}", file=_sys.stderr)
         if exc.criterion is not None:
             print(f"criterion value: {exc.criterion:.6g}", file=_sys.stderr)
         return EXIT_ISLANDS
-    post = solve_flow(sys_m)
-    closed = [
-        int(k)
-        for k, v in doc.get("switches", {}).items()
-        if v in ("closed", True)
-    ]
-    switch_flows = _closed_switch_flows(
-        grid_m, grid_m.injections(), post.flows, closed
-    )
+    grid_m = up.grid
     pre_by_id = dict(zip(grid.branch_ids, pre.flows))
     rows = []
-    flows_out = post.flows.copy()
     for e, br in enumerate(grid_m.branches):
-        if br.id in switch_flows:
-            flows_out[e] = switch_flows[br.id]
         f_post = float(flows_out[e]) * base
         f_pre = float(pre_by_id.get(br.id, 0.0)) * base
         rows.append(
@@ -338,13 +275,7 @@ def cmd_whatif(args) -> int:
             }
         )
     _print_rows(rows, args.format)
-    worst = int(np.argmax(np.abs(flows_out)))
-    br = grid_m.branches[worst]
-    if args.format == "table":
-        print(
-            f"max |f| = {abs(flows_out[worst]) * base:.3f} on branch "
-            f"({br.from_bus},{br.to_bus}) [id {br.id}]"
-        )
+    _print_max(grid_m, flows_out, base, args.format)
     return EXIT_OK
 
 

@@ -7,11 +7,11 @@ transfer distribution factors ``PTDF = diag(b) E^T B^-1`` mapping bus
 injections (slack-referenced) to branch flows.
 
 Every branch susceptance change, finite or ideal, runs on one endpoint
-low-rank kernel, :class:`_LowRank`. Its M = 1 readers are
-``updated_inverse``, ``lcdf_column``, ``merge_inverse`` and
-``switch_flow``; ``woodbury_update``, ``SwitchKernel``, ``idle_bus_split``
-and ``outage_factors`` (its gathers only) read it for M branches. Bus splits
-run on the other kernel, ``bus_topology._split_kernel``.
+low-rank kernel, :class:`_LowRank`, with one bracket ``S^-1 + K`` (``1/s =
+0`` for an ideal closure). ``updated_inverse`` and ``lcdf_column`` read it
+for one branch; ``SwitchKernel``, ``outage_factors`` (its gathers only)
+and ``bus_topology.ComposedUpdate`` (a whole modification set) for M
+branches. Bus splits also run on ``bus_topology._split_kernel``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import PIVOT_RTOL, guarded_solve
+from ._linalg import guarded_solve
 from .errors import DegenerateSwitchError, GridStructureError, IslandingError
 from .grid_model import PST, Grid, GroundedSystem
 
@@ -182,12 +182,11 @@ class _LowRank:
 
     ``W = B^-1 U`` and ``K = U^T W`` are gathered on the branch endpoints
     (the slack on the zero pad); ``K_d``, the diagonal of ``K``, holds each
-    branch's transfer impedance. :meth:`solve` runs one guarded solve on
-    one of the two brackets of Hager's rank-M update (W. W. Hager,
-    "Updating the inverse of a matrix", SIAM Review 31(2), 1989):
-    ``S^-1 + K`` for finite changes ``S``, or ``K_d + (K - K_d) Xi`` for
-    ideal closures ``Xi`` (0 open, 1 closed), its limit as the closed
-    susceptances diverge.
+    branch's transfer impedance. :meth:`solve` runs one guarded solve on the
+    bracket ``S^-1 + K`` of Hager's rank-M update (W. W. Hager, "Updating
+    the inverse of a matrix", SIAM Review 31(2), 1989) for the changes
+    ``S``; an ideal closure is the column with ``1/s = 0``, the limit as
+    its susceptance diverges, so the bracket stays finite.
     """
 
     def __init__(self, sys: GroundedSystem, cols):
@@ -197,41 +196,31 @@ class _LowRank:
         self.W = np.ascontiguousarray(_end_diff(self.ends, sys.B_inv).T)
         self.K = _end_diff(self.ends, self.W)
         self.K_d = np.diag(self.K).copy()
-        # K_d ~ 1/b: tested against B^-1_ff + B^-1_tt, the terms it is the difference of
-        d = np.append(np.diagonal(sys.B_inv), 0.0)
-        self.degenerate = self.K_d <= PIVOT_RTOL * (d[self.ends[0]] + d[self.ends[1]])
 
-    def closure(self, closed) -> np.ndarray:
-        """Closure diagonal ``Xi``: exactly 0 (open) or 1 (closed) per branch,
-        once every branch's transfer impedance passes the ``degenerate`` test."""
-        if self.degenerate.any():
-            ids = [self.sys.grid.branches[c].id for c in self.cols[self.degenerate]]
-            raise DegenerateSwitchError(
-                f"switches {ids} have no transfer impedance in the all-open reference"
-            )
-        return np.array([1.0 if c else 0.0 for c in closed])
+    def solve(self, rhs: np.ndarray, context: str, s_inv, part=slice(None)) -> np.ndarray:
+        """Solve ``(S^-1 + K) x = rhs`` on the columns ``part`` (all by default).
 
-    def solve(self, rhs: np.ndarray, context: str, s_inv=None, xi=None) -> np.ndarray:
-        """Solve the finite bracket (``s_inv = 1 / S``) or the closure bracket
-        (``xi``); a singular closure bracket raises DegenerateSwitchError."""
-        if xi is None:
-            bracket = np.diag(s_inv) + self.K
-            scale = max(np.abs(s_inv).max(), np.abs(self.K).max())
-            return guarded_solve(bracket, rhs, context, scale)
-        bracket = np.diag(self.K_d) + (self.K - np.diag(self.K_d)) * xi
+        A singular bracket with ideal closures (``s_inv == 0``) among its
+        columns raises DegenerateSwitchError when the closures are redundant;
+        otherwise the update islands the grid (IslandingError).
+        """
+        K = self.K[part][:, part]
+        scale = max(np.abs(s_inv).max(), np.abs(K).max())
         try:
-            return guarded_solve(bracket, rhs, context, np.abs(self.K).max())
+            return guarded_solve(np.diag(s_inv) + K, rhs, context, scale)
         except IslandingError as exc:
-            raise self._redundant_closing(xi) from exc
+            redundant = self._redundant_closing(self.cols[part][s_inv == 0.0])
+            if redundant is None:
+                raise
+            raise redundant from exc
 
-    def updated(self, context: str, s_inv=None, xi=None) -> np.ndarray:
-        """The updated inverse ``B^-1 - W Xi X`` (``Xi = 1`` for finite changes)."""
-        X = self.solve(self.W.T, context, s_inv, xi)
-        W = self.W if xi is None else self.W * xi
-        return self.sys.B_inv - W @ X
+    def updated(self, context: str, s_inv, part=slice(None)) -> np.ndarray:
+        """The updated inverse ``B^-1 - W (S^-1 + K)^-1 W^T`` on the columns ``part``."""
+        W = self.W[:, part]
+        return self.sys.B_inv - W @ self.solve(W.T, context, s_inv, part)
 
-    def _redundant_closing(self, xi: np.ndarray) -> DegenerateSwitchError:
-        """Tell a redundant closing apart from corrupt data: union-find over the
+    def _redundant_closing(self, closed) -> DegenerateSwitchError | None:
+        """Tell a redundant closing apart from islanding: union-find over the
         closed branches finds one whose terminals the others already merged."""
         parent: dict[int, int] = {}
 
@@ -240,9 +229,7 @@ class _LowRank:
                 x = parent[x]
             return x
 
-        for c, closed in zip(self.cols, xi):
-            if not closed:
-                continue
+        for c in closed:
             br = self.sys.grid.branches[c]
             ra, rb = find(br.from_bus), find(br.to_bus)
             if ra == rb:
@@ -251,9 +238,7 @@ class _LowRank:
                     "merged through other closed switches"
                 )
             parent[ra] = rb
-        return DegenerateSwitchError(
-            "multi-switch merge produced a singular closure system"
-        )
+        return None
 
 
 def _wrap_ptdf(

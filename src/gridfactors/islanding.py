@@ -10,10 +10,8 @@ cross-check and provides the component membership.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .bus_topology import TriConfig, split_criterion
-from .grid_model import Grid, GroundedSystem, _branch_col, connected_components
+from .grid_model import GroundedSystem, _branch_col, connected_components
 from .single_mod import outage_factors
 
 
@@ -33,19 +31,6 @@ def split_islands(tri: TriConfig, which: int = 0) -> tuple[bool, float]:
     return abs(s_val) <= tol, s_val
 
 
-def traversal_connectivity(
-    grid: Grid,
-    removed_branches: Iterable[int] = (),
-    closed_switches: Iterable[int] = (),
-) -> list[set[int]]:
-    """Exact bus partition into connected components by graph traversal.
-
-    In-service branches connect; switches count only when listed as
-    closed. This is the ground truth the algebraic criteria are tested
-    against.
-    """
-    return connected_components(
-        grid,
-        removed_branches=removed_branches,
-        closed_switches=closed_switches,
-    )
+#: exact bus partition into connected components by graph traversal: the
+#: ground truth the algebraic criteria are tested against
+traversal_connectivity = connected_components

@@ -1,14 +1,15 @@
 """Simultaneous modifications: multi-branch Woodbury updates, multi-switch
-merges through a 0/1 closure matrix, and multi-coupler bus splits.
+merges and multi-coupler bus splits.
 
-A set of susceptance changes is one low-rank update ``B_m = B_r + U A U^T``
-with ``U`` the stacked incidence vectors and ``A`` the diagonal of changes;
-the Woodbury identity reduces the new inverse to an M x M solve. For ideal
-switches the diagonal of changes diverges, so it is traded for the bounded
-closure variables (0 open, 1 closed), leaving an expression that stays
-finite for any switch setting. Both read the endpoint low-rank kernel
-``factors_base._LowRank`` for M branches; multi-coupler splits read the
-split kernel ``bus_topology._split_kernel`` for M couplers.
+A set of susceptance changes is one low-rank update ``B_m = B_r + U S U^T``
+with ``U`` the stacked incidence vectors and ``S`` the diagonal of changes;
+Hager's bracket ``S^-1 + U^T B_r^-1 U`` reduces the new inverse to an
+M x M solve. An ideal switch's change diverges, so its column has
+``1/s = 0`` and the bracket stays finite. ``woodbury_update`` and
+``multi_ptdf`` read ``bus_topology.ComposedUpdate``; ``SwitchKernel`` solves
+on the closed switches' block of ``K``; both run on the endpoint kernel
+``factors_base._LowRank``. Multi-coupler splits read the split kernel
+``bus_topology._split_kernel`` for M couplers.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._linalg import guarded_solve
-from .bus_topology import TriConfig, _split_kernel
-from .errors import GridStructureError
+from ._linalg import PIVOT_RTOL, guarded_solve
+from .bus_topology import ComposedUpdate, TriConfig, _split_kernel
+from .errors import DegenerateSwitchError, GridStructureError
 from .factors_base import FactorMatrix, _LowRank, _end_diff, _wrap_ptdf
 from .grid_model import GroundedSystem, _branch_col
-from .single_mod import BranchDelta, _check_delta
 
 
 @dataclass(frozen=True)
@@ -39,35 +39,22 @@ class ModificationSet:
         if len(set(ids)) != len(ids):
             raise GridStructureError(f"duplicate branch ids in modification set: {ids}")
 
-    @property
-    def branches(self) -> tuple[int, ...]:
-        return tuple(b for b, _ in self.entries)
-
 
 def woodbury_update(sys: GroundedSystem, mods: ModificationSet) -> np.ndarray:
-    """Inverse after all susceptance changes, via one M x M inner solve.
+    """Inverse after all susceptance changes, via one M x M inner solve: the
+    :class:`ComposedUpdate` of the deltas alone.
 
     Zero deltas are dropped; an empty effective set returns the reference
     inverse unchanged. A singular inner matrix means the modification set
     islands the grid.
     """
-    live = [(b, d) for b, d in mods.entries if d != 0.0]
-    if not live:
-        return sys.B_inv
-    cols = [_check_delta(sys, BranchDelta(b, d)) for b, d in live]
-    return _LowRank(sys, cols).updated(
-        f"modification set {[b for b, _ in live]}",
-        s_inv=1.0 / np.array([d for _, d in live]),
-    )
+    return ComposedUpdate(sys, mods.entries).inverse()
 
 
 def multi_ptdf(sys: GroundedSystem, mods: ModificationSet) -> FactorMatrix:
     """PTDF of the grid with the whole modification set applied."""
-    B_m_inv = woodbury_update(sys, mods)
-    b_m = sys.b.copy()
-    for branch_id, delta in mods.entries:
-        b_m[sys.grid.branch_index[branch_id]] += delta
-    return _wrap_ptdf(sys, B_m_inv, b_m)
+    up = ComposedUpdate(sys, mods.entries)
+    return _wrap_ptdf(sys, up.inverse(), up.grid.susceptances())
 
 
 # --- multi-switch merges ------------------------------------------------------
@@ -115,28 +102,38 @@ class SwitchKernel(_LowRank):
     def __init__(self, sys: GroundedSystem, switches: Sequence[int]):
         self.switches = tuple(switches)
         super().__init__(sys, [_branch_col(sys.grid, s) for s in self.switches])
+        # K_d ~ 1/b: tested against B^-1_ff + B^-1_tt, the terms it is the difference of
+        d = np.append(np.diagonal(sys.B_inv), 0.0)
+        self.degenerate = self.K_d <= PIVOT_RTOL * (d[self.ends[0]] + d[self.ends[1]])
 
     def xi(self, states: SwitchStates) -> np.ndarray:
         """Diagonal of the closure matrix: exactly 0 (open) or 1 (closed).
 
         The closure variable of a finite-susceptance branch would be
         ``b q / (1 + b q)`` with ``q`` its transfer impedance; the ideal
-        limits are 0 and 1, provided ``q`` is positive.
+        limits are 0 and 1, provided every ``q`` passes the ``degenerate`` test.
         """
         if states.switches != self.switches:
             raise GridStructureError("switch states do not match this kernel")
-        return self.closure(states.closed)
+        if self.degenerate.any():
+            ids = [s for s, bad in zip(self.switches, self.degenerate) if bad]
+            raise DegenerateSwitchError(
+                f"switches {ids} have no transfer impedance in the all-open reference"
+            )
+        return np.array([1.0 if c else 0.0 for c in states.closed])
 
     def merged_inverse(self, states: SwitchStates) -> np.ndarray:
         """Reference inverse updated for the given switch closures.
 
-        ``B_m^-1 = B_r^-1 - B_r^-1 U Xi (K_d + (K - K_d) Xi)^-1 U^T B_r^-1``;
-        with nothing closed this is the reference inverse itself.
+        ``B_m^-1 = B_r^-1 - W_c K_cc^-1 W_c^T`` on the closed switches ``c``:
+        the bracket ``S^-1 + K`` with ``1/s = 0`` on each closed column and
+        the open ones left out. With nothing closed this is the reference
+        inverse itself.
         """
-        xi = self.xi(states)
-        if not xi.any():
+        closed = np.flatnonzero(self.xi(states))
+        if not closed.size:
             return self.sys.B_inv
-        return self.updated("multi-switch merge", xi=xi)
+        return self.updated("multi-switch merge", np.zeros(closed.size), closed)
 
     def merged_angles(
         self, states: SwitchStates, theta: np.ndarray
@@ -144,18 +141,20 @@ class SwitchKernel(_LowRank):
         """Angles after the given switch closures, and the flows over the switches.
 
         ``theta`` holds the reference angles ``B_r^-1 p`` for some injections
-        ``p``. With ``z = (K_d + (K - K_d) Xi)^-1 U^T theta`` the merged angles
-        are ``theta - W (xi * z)``, and ``xi * z`` is the flow over each
-        switch (from bus to to bus; zero for open ones): the ideal limit of
-        ``(S^-1 + K)^-1 U^T theta`` for switch susceptances ``S``. One M x M
-        solve, no n x n inverse.
+        ``p``. With ``z = K_cc^-1 U_c^T theta`` on the closed switches ``c``
+        the merged angles are ``theta - W_c z``, and ``z`` is the flow over
+        each closed switch (from bus to to bus; zero for open ones): the
+        ideal limit of ``(S^-1 + K)^-1 U^T theta`` for switch susceptances
+        ``S``. One solve on the closed block, no n x n inverse.
         """
-        xi = self.xi(states)
+        closed = np.flatnonzero(self.xi(states))
         theta = np.asarray(theta, dtype=float)
-        if not xi.any():
-            return theta, np.zeros(len(self.switches))
-        y = xi * self.solve(_end_diff(self.ends, theta), "multi-switch merge", xi=xi)
-        return theta - self.W @ y, y
+        y = np.zeros(len(self.switches))
+        if not closed.size:
+            return theta, y
+        rhs = _end_diff(self.ends, theta)[closed]
+        y[closed] = self.solve(rhs, "multi-switch merge", np.zeros(closed.size), closed)
+        return theta - self.W[:, closed] @ y[closed], y
 
 
 def xi_from_states(sys: GroundedSystem, states: SwitchStates) -> np.ndarray:

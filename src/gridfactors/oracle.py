@@ -26,6 +26,7 @@ from .grid_model import (
     LINE,
     SWITCH,
     build_grounded_system,
+    build_incidence,
 )
 from .multi_mod import ModificationSet, woodbury_update
 
@@ -104,6 +105,26 @@ def rebuild_and_solve(
     sys_m = build_grounded_system(grid_m)
     flow = solve_flow(sys_m, p)
     return OracleResult(grid=grid_m, sys=sys_m, flow=flow, B_inv=sys_m.B_inv)
+
+
+def _closed_switch_flows(
+    grid: Grid, p: np.ndarray, flows: np.ndarray, closed: list[int]
+) -> dict[int, float]:
+    """Kirchhoff reference for the flows over closed switches.
+
+    A merged solution leaves closed switches with zero formal flow (their
+    assembly susceptance is zero); the physical flows are the unique values
+    that restore Kirchhoff's law at every bus: a least-squares solve on the
+    closed switches' columns of the incidence ``E``.
+    """
+    if not closed:
+        return {}
+    E = build_incidence(grid).full
+    cols = [grid.branch_index[s] for s in closed]
+    rest = np.setdiff1d(np.arange(grid.n_branches), cols)
+    residual = np.asarray(p, dtype=float) - E[:, rest] @ np.asarray(flows)[rest]
+    x, *_ = np.linalg.lstsq(E[:, cols], residual, rcond=None)
+    return dict(zip(closed, x))
 
 
 def contract_buses(grid: Grid, keep: int, drop: int) -> Grid:

@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 import gridfactors
-from gridfactors import Grid, build_grounded_system, cli, grid_to_json, random_grid, solve_flow
+from gridfactors import (
+    Grid, build_grounded_system, cli, grid_to_json, oracle, random_grid, solve_flow,
+)
 from gridfactors.cases import case6ww_text
 from gridfactors.cli import main
 
-from conftest import screening_grid, sweep_grid, triangle, two_bus
+from conftest import add_switches, screening_grid, sweep_grid, triangle, two_bus
 
 
 @pytest.fixture()
@@ -403,7 +405,7 @@ def _per_setting_inverse_rows(grid, switches):
             rows.append({"setting": setting, "max_flow": math.nan, "islands": True})
             continue
         closed = [s for s, b in zip(switches, bits) if b]
-        recovered = cli._closed_switch_flows(grid, grid.injections(), flows, closed)
+        recovered = oracle._closed_switch_flows(grid, grid.injections(), flows, closed)
         for sid, f in recovered.items():
             flows[grid.branch_index[sid]] = f
         rows.append(
@@ -455,7 +457,7 @@ def test_whatif_enumerate_forms_no_inverse_per_setting(tmp_path, capsys, monkeyp
         raise AssertionError("per-setting inverse route used")
 
     monkeypatch.setattr(cli, "system_from_inverse", refuse)
-    monkeypatch.setattr(cli, "_closed_switch_flows", refuse)
+    monkeypatch.setattr(oracle, "_closed_switch_flows", refuse)
     monkeypatch.setattr(SwitchKernel, "merged_inverse", refuse)
     grid, sids = sweep_grid(6, 30)
     rows = _enumerate_rows(grid, sids, tmp_path, capsys)
@@ -595,3 +597,65 @@ def test_no_request_builds_the_dense_incidence(tmp_path, capsys, monkeypatch):
         ):
             assert main(argv) == 0, argv
             assert capsys.readouterr().out
+
+
+def test_delta_on_a_switch_is_rejected(tmp_path, capsys):
+    # a delta would close the switch at a finite susceptance while the final
+    # grid still counts it as an open switch, breaking the bus balance
+    grid, (sid,) = add_switches(random_grid(3, 8, 2.4), [(2, 6)])
+    path = tmp_path / "grid.json"
+    path.write_text(grid_to_json(grid))
+    doc = json.dumps({"deltas": [{"branch": sid, "db": 1.0}]})
+    assert main(["whatif", str(path), "--mods", doc]) == 2
+    assert f"branch {sid} is a switch" in capsys.readouterr().err
+    assert main(["n1", str(path), "--after", doc]) == 2
+    assert f"branch {sid} is a switch" in capsys.readouterr().err
+
+
+def test_split_connected_only_through_a_moved_closed_switch(tmp_path, capsys):
+    # the new bus keeps one branch, a closed switch: the final grid is
+    # connected and the switch carries the injection moved to the new bus
+    from gridfactors import SplitSpec, rebuild_and_solve
+
+    grid, (sid,) = add_switches(random_grid(3, 8, 2.4), [(7, 4)])
+    split = SplitSpec(parent_bus=4, assignments={sid: "new"},
+                      injection_to_new=0.5 * grid.bus(4).injection)
+    path = tmp_path / "grid.json"
+    path.write_text(grid_to_json(grid))
+    doc = {
+        "switches": {str(sid): "closed"},
+        "splits": [{"parent": 4, "assignments": {str(sid): "new"},
+                    "injection_to_new": split.injection_to_new}],
+    }
+    assert main(["whatif", str(path), "--mods", json.dumps(doc), "--format", "jsonl"]) == 0
+    rows = [json.loads(ln) for ln in capsys.readouterr().out.strip().splitlines()]
+    ref = rebuild_and_solve(grid, closed_switches=[sid], splits=[split])
+    assert [r["branch"] for r in rows] == list(ref.grid.branch_ids)
+    scale = max(1.0, np.abs(ref.flow.flows).max())  # the 1e9-line oracle is good to ~1e-5
+    np.testing.assert_allclose(
+        [r["post"] for r in rows], ref.flow.flows, rtol=0, atol=1e-5 * scale
+    )
+    assert rows[-1]["post"] == pytest.approx(-split.injection_to_new, rel=1e-9)
+
+
+def test_whatif_forms_no_updated_inverse(ww_path, tmp_path, capsys, monkeypatch):
+    from gridfactors import bus_topology, factors_base, multi_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("updated inverse formed")
+
+    monkeypatch.setattr(factors_base._LowRank, "updated", refuse)
+    monkeypatch.setattr(bus_topology, "pad_inverse", refuse)
+    for name in ("multi_split_inverse", "woodbury_update", "multi_merge_inverse"):
+        monkeypatch.setattr(multi_mod, name, refuse)
+    mods = tmp_path / "split.json"
+    mods.write_text(json.dumps(SPLIT_DOC))
+    assert main(["whatif", ww_path, "--mods", f"@{mods}"]) == 0
+    assert "max |f| = 42.233 on branch (1,7)" in capsys.readouterr().out
+    # deltas, closings and a split together
+    grid, sids = sweep_grid(4, 40)
+    path = tmp_path / "grid.json"
+    path.write_text(grid_to_json(grid))
+    doc = json.dumps(_staged_doc(grid, list(sids[1:3])))
+    assert main(["whatif", str(path), "--mods", doc]) == 0
+    assert "max |f| = " in capsys.readouterr().out

@@ -351,7 +351,7 @@ def test_merged_angles_redundant_triangle_raises_like_inverse():
 
 @pytest.mark.parametrize("seed", [3, 13, 55])
 def test_merged_angles_switch_flows_equal_kcl_recovery(seed):
-    from gridfactors.cli import _closed_switch_flows
+    from gridfactors.oracle import _closed_switch_flows
 
     grid, sids = sweep_grid(seed, 16)
     sys, kernel, theta0, shifts = _sweep(grid, sids)

@@ -1,4 +1,6 @@
-"""Property test of the staged ``whatif`` pipeline against the rebuild oracle."""
+"""Property test of the composed ``whatif`` update against the rebuild oracle."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridfactors import (
+    ComposedUpdate,
     DegenerateSwitchError,
+    Grid,
     IslandingError,
     SplitSpec,
+    build_grounded_system,
     connected_components,
     random_grid,
     rebuild_and_solve,
@@ -56,44 +61,58 @@ def _doc(sids, deltas, closed, split):
     }
 
 
-def _islands(grid, **mods):
-    return len(connected_components(rebuild_grid(grid, **mods))) > 1
+def _scaled(grid, deltas, c):
+    """``b -> c b`` for every branch and delta: angles scale by 1/c, flows stay."""
+    branches = tuple(replace(br, susceptance=br.susceptance * c) for br in grid.branches)
+    return Grid(buses=grid.buses, branches=branches), [(b, d * c) for b, d in deltas]
+
+
+def _run(grid, sids, deltas, closed, split):
+    """Final angles and flows of the inverse route, flows of the composed
+    route (closed switches included), or the class of the error raised."""
+    try:
+        _, sys_m = apply_modifications(grid, _doc(sids, deltas, closed, split))
+        up = ComposedUpdate(
+            build_grounded_system(grid), deltas, {s: s in closed for s in sids}, [split]
+        )
+        return solve_flow(sys_m), up.flows()
+    except (DegenerateSwitchError, IslandingError) as exc:
+        return type(exc)
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(case=_staged_cases())
 def test_staged_pipeline_agrees_with_rebuild_or_raises_exactly(case):
     grid, sids, deltas, closed, split = case
-    doc = _doc(sids, deltas, closed, split)
-    # the stages run in order on one inverse, each on a connected grid:
-    # the deltas; the closings off the coupler (none redundant); the split;
-    # the closings at a non-slack parent or moved to the new bus, on the
-    # split grid's switch ends
-    parent, slack = split.parent_bus, grid.slack
-    early = [
-        s for s in closed
-        if parent not in (grid.branch(s).from_bus, grid.branch(s).to_bus)
-        or (parent == slack and s not in split.assignments)
-    ]
-    if _islands(grid, deltas=deltas) or (
-        not _redundant(grid, early)
-        and _islands(grid, deltas=deltas, closed_switches=early, splits=[split])
-    ):
-        with pytest.raises(IslandingError):
-            apply_modifications(grid, doc)
-        return
-    if _redundant(grid, early) or _redundant(rebuild_grid(grid, splits=[split]), closed):
-        with pytest.raises(DegenerateSwitchError):
-            apply_modifications(grid, doc)
-        return
-    grid_m, sys_m = apply_modifications(grid, doc)
-    got = solve_flow(sys_m)
-    # closed switches are emulated by 1e9 lines, good to about 1e-5
-    ref = rebuild_and_solve(grid, deltas=deltas, closed_switches=closed, splits=[split])
-    assert grid_m.branch_ids == ref.grid.branch_ids
-    assert sys_m.bus_ids == ref.sys.bus_ids
-    scale = max(1.0, np.abs(ref.flow.angles).max())
-    np.testing.assert_allclose(got.angles, ref.flow.angles, rtol=0, atol=1e-5 * scale)
-    lines = [e for e, br in enumerate(grid_m.branches) if br.id not in closed]
-    scale = max(1.0, np.abs(ref.flow.flows).max())
-    np.testing.assert_allclose(got.flows[lines], ref.flow.flows[lines], rtol=0, atol=1e-5 * scale)
+    got = _run(grid, sids, deltas, closed, split)
+    # the exact contract: a redundant closing on the final grid; otherwise
+    # islanding exactly when the rebuilt final grid is disconnected
+    if _redundant(rebuild_grid(grid, splits=[split]), closed):
+        assert got is DegenerateSwitchError
+    elif len(connected_components(
+        rebuild_grid(grid, deltas=deltas, closed_switches=closed, splits=[split])
+    )) > 1:
+        assert got is IslandingError
+    else:
+        assert not isinstance(got, type), got
+        state, flows = got
+        # closed switches are emulated by 1e9 lines, good to about 1e-5
+        ref = rebuild_and_solve(grid, deltas=deltas, closed_switches=closed, splits=[split])
+        scale = max(1.0, np.abs(ref.flow.angles).max())
+        np.testing.assert_allclose(state.angles, ref.flow.angles, rtol=0, atol=1e-5 * scale)
+        scale = max(1.0, np.abs(ref.flow.flows).max())
+        np.testing.assert_allclose(flows, ref.flow.flows, rtol=0, atol=1e-5 * scale)
+        lines = [e for e, br in enumerate(ref.grid.branches) if br.id not in closed]
+        np.testing.assert_allclose(state.flows[lines], flows[lines], rtol=0, atol=1e-9 * scale)
+    # scaling every susceptance changes neither the error class nor the flows
+    for c in (1e-12, 1e12):
+        grid_c, deltas_c = _scaled(grid, deltas, c)
+        got_c = _run(grid_c, sids, deltas_c, closed, split)
+        if isinstance(got, type):
+            assert got_c is got, c
+            continue
+        assert not isinstance(got_c, type), (c, got_c)
+        scale = max(1.0, np.abs(got[1]).max())
+        np.testing.assert_allclose(got_c[1], got[1], rtol=0, atol=1e-9 * scale)
+        scale = max(1.0, np.abs(got[0].angles).max())
+        np.testing.assert_allclose(got_c[0].angles * c, got[0].angles, rtol=0, atol=1e-9 * scale)
