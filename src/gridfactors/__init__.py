@@ -26,7 +26,6 @@ from .grid_model import (
     build_grounded_system,
     build_incidence,
     connected_components,
-    pseudo_inverse_check,
     system_from_inverse,
 )
 from .case_io import (
@@ -87,6 +86,7 @@ from .islanding import outage_islands, split_islands, traversal_connectivity
 from .oracle import (
     bench_update_vs_rebuild,
     contract_buses,
+    pseudo_inverse_check,
     random_grid,
     rebuild_and_solve,
     rebuild_grid,

@@ -193,12 +193,22 @@ def _split_from_doc(doc: dict) -> SplitSpec:
         raise CaseParseError(f"bad split specification: {exc!r}")
 
 
+def _switches_from_doc(doc: dict) -> dict:
+    """The ``switches`` entry of a modification JSON, keyed by integer id."""
+    try:
+        return {int(k): v for k, v in doc.get("switches", {}).items()}
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise CaseParseError(f"bad switch settings: {exc!r}")
+
+
 def _composed_update(doc: dict, sys: GroundedSystem) -> ComposedUpdate:
     """The modification JSON as one composed low-rank update of ``sys``."""
-    deltas = ModificationSet(
-        entries=tuple((int(d["branch"]), float(d["db"])) for d in doc.get("deltas", []))
-    )
-    states = SwitchStates.from_mapping({int(k): v for k, v in doc.get("switches", {}).items()})
+    try:
+        entries = tuple((int(d["branch"]), float(d["db"])) for d in doc.get("deltas", []))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CaseParseError(f"bad susceptance delta: {exc!r}")
+    deltas = ModificationSet(entries=entries)
+    states = SwitchStates.from_mapping(_switches_from_doc(doc))
     splits = [_split_from_doc(d) for d in doc.get("splits", [])]
     return ComposedUpdate(sys, deltas.entries, dict(zip(states.switches, states.closed)), splits)
 
@@ -222,7 +232,7 @@ def cmd_whatif(args) -> int:
     pre = solve_flow(sys0)
 
     if args.enumerate:
-        switches = sorted(int(k) for k in doc.get("switches", {}))
+        switches = sorted(_switches_from_doc(doc))
         if not switches:
             raise CaseParseError("--enumerate requires a 'switches' entry")
         kernel = SwitchKernel(sys0, switches)

@@ -8,12 +8,19 @@ column grounds the Laplacian, which is then positive definite exactly when
 the grid is connected. Everything downstream (distribution factors, low-rank
 topology updates) works on the dense inverse of that grounded matrix.
 
-The grounded Laplacian is scattered from the branch endpoint arrays (each
-branch adds ``b`` to its two diagonal entries and ``-b`` to the two
-off-diagonal ones), never formed as the product ``E diag(b) E^T``. Its
-inverse is built from the Cholesky factor ``B = L L^T`` that proves it
-positive definite: ``B^-1 = L^-T L^-1`` (LAPACK's potrf, trtri, lauum route;
-Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 14).
+The inverse is built on the meshed core of the grid only. Buses with at
+most two distinct neighbours (the slack counts as one) are eliminated
+exactly first, a series-parallel Kron reduction: a pendant bus drops its
+branch and a series bus becomes one branch between its neighbours. The
+core's grounded Laplacian is scattered from its branch endpoint arrays
+(each branch adds ``b`` to its two diagonal entries and ``-b`` to the two
+off-diagonal ones), never formed as the product ``E diag(b) E^T``, and
+inverted through the Cholesky factor ``B = L L^T`` that proves it positive
+definite: ``B^-1 = L^-T L^-1`` (LAPACK's potrf, trtri, lauum route;
+Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 14). The
+eliminated buses' rows of the inverse then follow from the core's in
+reverse elimination order. The full ``B`` and its factor are built only
+when read.
 """
 
 from __future__ import annotations
@@ -332,15 +339,109 @@ def _lower_inverse(L: np.ndarray, out: np.ndarray) -> None:
     np.negative(low, out=low)
 
 
-def _cholesky_inverse(L: np.ndarray) -> np.ndarray:
-    """``B^-1 = L^-T L^-1`` from the lower Cholesky factor ``L`` of ``B``.
+def _cholesky_inverse(B: np.ndarray) -> np.ndarray:
+    """``B^-1 = L^-T L^-1`` through the lower Cholesky factor ``L`` of ``B``.
 
-    ``M.T @ M`` on one buffer runs as a BLAS syrk, which fills one
-    triangle and mirrors it, so the result is exactly symmetric.
+    Raises ``np.linalg.LinAlgError`` if ``B`` is not positive definite.
+    ``B`` and ``L`` are dropped as soon as they are used, so no more than
+    two n x n buffers are alive at once. ``M.T @ M`` on one buffer runs as
+    a BLAS syrk, which fills one triangle and mirrors it, so the result is
+    exactly symmetric.
     """
+    L = np.linalg.cholesky(B)
+    del B
     M = np.zeros_like(L)
     _lower_inverse(L, M)
+    del L
     return M.T @ M
+
+
+def _series_parallel(ends: tuple[np.ndarray, np.ndarray], b: np.ndarray, n: int):
+    """Kron reduction of the buses with at most two distinct neighbours.
+
+    The buses are the grounded rows ``0..n-1`` and the slack, on the pad
+    index ``n``; branches of zero susceptance do not connect. A non-slack
+    bus with one neighbour (the slack counts) drops its branch; one with
+    two neighbours ``x, y`` over the weights ``b_x, b_y`` becomes one branch
+    of weight ``b_x b_y / (b_x + b_y)`` between them, merged with any
+    parallel branch. Each elimination lowers or keeps its neighbours'
+    degrees, so it repeats until none is left (F. Dörfler and F. Bullo,
+    "Kron reduction of graphs with applications to electrical networks",
+    IEEE TCAS-I 60(1), 2013).
+
+    Returns ``None`` when no bus qualifies. Otherwise returns the core
+    (the grounded rows left, ascending), its branch ends in core
+    coordinates (the slack on the pad index ``len(core)``), their merged
+    weights, and one ``(v, d, [(x, b_x / d), ...])`` per eliminated bus in
+    elimination order: ``d`` is the sum of its weights when it went and
+    the list holds its non-slack neighbours then.
+    """
+    # parallel branches merge in branch order, the same additions at both ends
+    adj: list[dict[int, float]] = [{} for _ in range(n + 1)]
+    for f, t, w in zip(ends[0].tolist(), ends[1].tolist(), b.tolist()):
+        if w > 0.0:
+            adj[f][t] = adj[t][f] = adj[f].get(t, 0.0) + w
+    stack = [v for v in range(n) if len(adj[v]) <= 2]
+    if not stack:
+        return None
+    gone = bytearray(n + 1)
+    steps = []
+    while stack:
+        v = stack.pop()
+        if gone[v]:
+            continue
+        gone[v] = 1
+        nbrs = list(adj[v].items())
+        for x, _ in nbrs:
+            del adj[x][v]
+        if len(nbrs) == 1:
+            d = nbrs[0][1]
+        else:
+            (x, bx), (y, by) = nbrs
+            d = bx + by
+            adj[x][y] = adj[y][x] = adj[x].get(y, 0.0) + bx * (by / d)
+        steps.append((v, d, [(x, w / d) for x, w in nbrs if x != n]))
+        for x, _ in nbrs:
+            if x != n and len(adj[x]) <= 2:
+                stack.append(x)
+    core = np.flatnonzero(np.frombuffer(gone, dtype=np.uint8)[:n] == 0)
+    pos = np.full(n + 1, len(core), dtype=np.intp)
+    pos[core] = np.arange(len(core))
+    edges = [(v, x, w) for v in core.tolist() for x, w in adj[v].items() if x > v]
+    f, t, w = np.array(edges, dtype=float).reshape(-1, 3).T
+    return core, (pos[f.astype(np.intp)], pos[t.astype(np.intp)]), w, steps
+
+
+def _grounded_inverse(ends: tuple[np.ndarray, np.ndarray], b: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of the grounded Laplacian: the meshed core by Cholesky, the rest by Kron.
+
+    After :func:`_series_parallel` only the core is scattered and
+    inverted; its inverse is the grounded inverse on the core rows. The
+    eliminated buses follow in reverse elimination order: bus ``v``, gone
+    with the weight sum ``d`` and the neighbours ``x`` of weight ``b_x``,
+    has the row ``sum_x (b_x / d) B^-1[x, :]`` over the buses present when
+    it went (the entries of buses eliminated before it are still zero, so
+    whole rows are summed) and the diagonal ``1/d + sum_x (b_x / d)
+    B^-1[x, v]``. The row is written as the column as well, so the result
+    is exactly symmetric; all the terms are nonnegative, so nothing
+    cancels.
+    """
+    reduced = _series_parallel(ends, b, n)
+    if reduced is None:
+        return _cholesky_inverse(_grounded_laplacian(ends, b, n))
+    core, core_ends, core_b, steps = reduced
+    B_inv = np.zeros((n, n))
+    if len(core):
+        B_inv[np.ix_(core, core)] = _cholesky_inverse(
+            _grounded_laplacian(core_ends, core_b, len(core))
+        )
+    for v, d, nbrs in reversed(steps):
+        row = B_inv[v]  # still zero: only its own step writes it
+        for x, w in nbrs:
+            row += w * B_inv[x]
+        B_inv[:, v] = row
+        B_inv[v, v] = 1.0 / d + sum(w * row[x] for x, w in nbrs)
+    return B_inv
 
 
 def build_incidence(grid: Grid) -> IncidenceMatrix:
@@ -385,14 +486,14 @@ class GroundedSystem:
     slack-reduced incidence matrix and ``b`` the effective branch
     susceptances, so ``B = E_r diag(b) E_r^T``; ``B`` itself is scattered
     from the endpoint arrays ``branch_ends``, not formed as that product.
-    No kernel reads ``E_r``: it is built from ``branch_ends`` on its first
-    read (pass ``None``).
 
-    ``chol`` is ``(L, True)`` with ``L`` the lower Cholesky factor of ``B``:
-    it proves ``B`` positive definite and gives ``B_inv = L^-T L^-1``,
-    exactly symmetric. Systems derived through low-rank updates carry
-    ``B=None`` and no Cholesky factor; the inverse is all downstream
-    algebra needs.
+    ``B_inv`` is all downstream algebra reads. :func:`build_grounded_system`
+    inverts only the core left after the series-parallel reduction and
+    rebuilds the other rows from it, so no command forms ``B`` or its
+    factor. ``E_r``, ``B`` and ``chol`` are built on first read (pass
+    ``None``), on systems derived through low-rank updates too, where they
+    are those of ``grid`` (closed switches carry no susceptance there).
+    ``chol`` is ``(L, True)`` with ``L`` the lower Cholesky factor of ``B``.
     """
 
     grid: Grid
@@ -402,8 +503,8 @@ class GroundedSystem:
     E_r: np.ndarray = _Lazy(lambda s: _incidence(s.branch_ends, s.n))
     b: np.ndarray
     B_inv: np.ndarray
-    B: np.ndarray | None = None
-    chol: tuple | None = None
+    B: np.ndarray = _Lazy(lambda s: _grounded_laplacian(s.branch_ends, s.b, s.n))
+    chol: tuple = _Lazy(lambda s: (np.linalg.cholesky(s.B), True))
 
     @property
     def n(self) -> int:
@@ -461,7 +562,7 @@ def _grounded_coords(grid: Grid) -> tuple[dict[int, int], tuple[np.ndarray, np.n
     return index_map, _branch_ends(grid, index_map, len(index_map))
 
 
-def _system(grid: Grid, coords, B_inv: np.ndarray, **factors) -> GroundedSystem:
+def _system(grid: Grid, coords, B_inv: np.ndarray) -> GroundedSystem:
     """Grounded system of ``grid`` in the coordinates ``_grounded_coords(grid)``."""
     index_map, ends = coords
     sys = GroundedSystem(
@@ -472,18 +573,22 @@ def _system(grid: Grid, coords, B_inv: np.ndarray, **factors) -> GroundedSystem:
         E_r=None,
         b=grid.susceptances(),
         B_inv=B_inv,
-        **factors,
+        B=None,
+        chol=None,
     )
     sys.__dict__["branch_ends"] = ends  # seeds the cached property
     return sys
 
 
 def build_grounded_system(grid: Grid) -> GroundedSystem:
-    """Scatter the grounded Laplacian of a connected grid and invert it.
+    """Invert the grounded Laplacian of a connected grid.
 
-    ``B`` is scattered from the grounded branch endpoints; its Cholesky
-    factor ``L`` proves it positive definite and gives the inverse as
-    ``L^-T L^-1``, so one O(n^3) factorization serves both.
+    Buses with at most two distinct neighbours are eliminated exactly
+    first (:func:`_series_parallel`); the Cholesky factor ``L`` of the
+    core left proves it positive definite and gives its inverse as
+    ``L^-T L^-1``, and the eliminated buses' rows follow from the core's.
+    On a grid without such buses the core is the whole grounded matrix.
+    ``B`` and ``chol`` are built only when read.
 
     Raises
     ------
@@ -498,47 +603,23 @@ def build_grounded_system(grid: Grid) -> GroundedSystem:
             components=comps,
         )
     coords = _grounded_coords(grid)
-    B = _grounded_laplacian(coords[1], grid.susceptances(), grid.n_buses - 1)
     try:
-        L = np.linalg.cholesky(B)
+        B_inv = _grounded_inverse(coords[1], grid.susceptances(), grid.n_buses - 1)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - traversal catches first
         raise IslandingError(f"grounded matrix is singular: {exc}") from exc
-    B_inv = _cholesky_inverse(L)
     _freeze(B_inv)
-    return _system(grid, coords, B_inv, B=B, chol=(L, True))
+    return _system(grid, coords, B_inv)
 
 
 def system_from_inverse(grid: Grid, B_inv: np.ndarray) -> GroundedSystem:
     """Wrap a precomputed (possibly singular) inverse as a grounded system.
 
     Used when an inverse was obtained by a low-rank update; no factorization
-    is performed and ``B`` is left unset.
+    is performed. ``B`` and ``chol`` are those of ``grid``, built on first
+    read.
     """
     n = grid.n_buses - 1
     B_inv = np.asarray(B_inv, dtype=float)
     if B_inv.shape != (n, n):
         raise GridStructureError(f"inverse has shape {B_inv.shape}, expected {(n, n)}")
     return _system(grid, _grounded_coords(grid), B_inv)
-
-
-def pseudo_inverse_check(grid: Grid) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse of the full (ungrounded) Laplacian.
-
-    Computed as ``(B + J/n)^-1 - J/n`` with ``J`` the all-ones matrix; kept
-    as a cross-check against the grounded-inverse path, which is the
-    production route.
-    """
-    comps = connected_components(grid)
-    if len(comps) > 1:
-        raise IslandingError(
-            f"grid is disconnected into {len(comps)} components",
-            components=comps,
-        )
-    inc = build_incidence(grid)
-    b = grid.susceptances()
-    B_full = (inc.full * b) @ inc.full.T
-    n = grid.n_buses
-    J = np.full((n, n), 1.0 / n)
-    shifted = B_full + J
-    plus = np.linalg.inv(shifted) - J
-    return 0.5 * (plus + plus.T)

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._linalg import SUSCEPTANCE_FLOOR
 from .bus_topology import SplitSpec, apply_split
-from .errors import GridStructureError
+from .errors import GridStructureError, IslandingError
 from .factors_base import FlowState, solve_flow
 from .grid_model import (
     Branch,
@@ -27,6 +27,7 @@ from .grid_model import (
     SWITCH,
     build_grounded_system,
     build_incidence,
+    connected_components,
 )
 from .multi_mod import ModificationSet, woodbury_update
 
@@ -125,6 +126,29 @@ def _closed_switch_flows(
     residual = np.asarray(p, dtype=float) - E[:, rest] @ np.asarray(flows)[rest]
     x, *_ = np.linalg.lstsq(E[:, cols], residual, rcond=None)
     return dict(zip(closed, x))
+
+
+def pseudo_inverse_check(grid: Grid) -> np.ndarray:
+    """Moore-Penrose pseudo-inverse of the full (ungrounded) Laplacian.
+
+    Computed as ``(B + J/n)^-1 - J/n`` with ``J`` the all-ones matrix; kept
+    as a cross-check against the grounded-inverse path, which is the
+    production route.
+    """
+    comps = connected_components(grid)
+    if len(comps) > 1:
+        raise IslandingError(
+            f"grid is disconnected into {len(comps)} components",
+            components=comps,
+        )
+    inc = build_incidence(grid)
+    b = grid.susceptances()
+    B_full = (inc.full * b) @ inc.full.T
+    n = grid.n_buses
+    J = np.full((n, n), 1.0 / n)
+    shifted = B_full + J
+    plus = np.linalg.inv(shifted) - J
+    return 0.5 * (plus + plus.T)
 
 
 def contract_buses(grid: Grid, keep: int, drop: int) -> Grid:

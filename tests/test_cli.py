@@ -599,6 +599,62 @@ def test_no_request_builds_the_dense_incidence(tmp_path, capsys, monkeypatch):
             assert capsys.readouterr().out
 
 
+def test_no_request_factorizes_the_full_grounded_matrix(tmp_path, capsys, monkeypatch):
+    # buses of degree <= 2 are eliminated first: only the meshed core is
+    # scattered and factorized, never the full n x n grounded Laplacian
+    from gridfactors import grid_model
+
+    screening = screening_grid(4, 40)
+    sweep, sids = sweep_grid(4, 40)
+    full = 39  # the grounded order of both grids
+    scatter, cholesky = grid_model._grounded_laplacian, np.linalg.cholesky
+    orders = []
+
+    def core_only(ends, b, n):
+        if n == full:
+            raise AssertionError("full grounded Laplacian scattered")
+        return scatter(ends, b, n)
+
+    def recording(a):
+        orders.append(a.shape[0])
+        return cholesky(a)
+
+    monkeypatch.setattr(grid_model, "_grounded_laplacian", core_only)
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    cases = [(screening, [screening.branches[-1].id]), (sweep, list(sids[1:3]))]
+    for k, (grid, closed) in enumerate(cases):
+        assert grid.n_buses - 1 == full
+        path = tmp_path / f"grid_{k}.json"
+        path.write_text(grid_to_json(grid))
+        mods = tmp_path / f"mods_{k}.json"
+        mods.write_text(json.dumps(_staged_doc(grid, closed)))
+        sweep_mods = json.dumps({"switches": {str(s): "open" for s in closed}})
+        for argv in (
+            ["flows", str(path)],
+            ["factors", str(path), "--kind", "ptdf"],
+            ["factors", str(path), "--kind", "psdf"],
+            ["whatif", str(path), "--mods", str(mods)],
+            ["whatif", str(path), "--mods", sweep_mods, "--enumerate"],
+            ["n1", str(path)],
+            ["n1", str(path), "--after", str(mods)],
+        ):
+            orders.clear()
+            assert main(argv) == 0, argv
+            assert capsys.readouterr().out
+            assert orders and max(orders) < full, (argv, orders)
+
+
+@pytest.mark.parametrize(
+    "mods", ['{"deltas": [{"db": 1}]}', '{"switches": {"x": "closed"}}'],
+    ids=["delta-without-branch", "non-integer-switch-id"],
+)
+def test_malformed_modification_entry_exits_2(mods, ww_path, capsys):
+    for argv in (["whatif", ww_path, "--mods", mods], ["n1", ww_path, "--after", mods]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad ") and "Traceback" not in err
+
+
 def test_delta_on_a_switch_is_rejected(tmp_path, capsys):
     # a delta would close the switch at a finite susceptance while the final
     # grid still counts it as an open switch, breaking the bus balance

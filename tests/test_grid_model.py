@@ -250,3 +250,54 @@ def test_build_inverts_no_full_matrix(monkeypatch):
     assert shapes and max(max(s) for s in shapes) <= 128
     residual = np.abs(sys.B @ sys.B_inv - np.eye(sys.n)).max()
     assert residual <= 10 * np.abs(sys.B @ inv(sys.B) - np.eye(sys.n)).max()
+
+
+def _torus(k, seed=0):
+    """k x k torus with random susceptances: every bus has four neighbours."""
+    rng = np.random.default_rng(seed)
+    buses = tuple(Bus(id=i + 1, is_slack=(i == 0)) for i in range(k * k))
+    branches = []
+    for r in range(k):
+        for c in range(k):
+            for j in (r * k + (c + 1) % k, ((r + 1) % k) * k + c):
+                branches.append(Branch(id=len(branches) + 1, from_bus=r * k + c + 1,
+                                       to_bus=j + 1, susceptance=float(rng.uniform(1, 10))))
+    return Grid(buses=buses, branches=tuple(branches))
+
+
+def test_meshed_grid_keeps_every_bus_in_the_core():
+    from gridfactors import grid_model
+
+    grid = _torus(6)
+    sys = build_grounded_system(grid)
+    assert grid_model._series_parallel(sys.branch_ends, sys.b, sys.n) is None
+    assert np.array_equal(sys.B_inv, sys.B_inv.T)
+    assert np.abs(sys.B @ sys.B_inv - np.eye(sys.n)).max() <= 1e-12
+
+
+def test_reduction_leaves_the_meshed_core():
+    from gridfactors import grid_model
+
+    # K4 on buses 1-4, a pendant chain 4-5-6 and a series bus 7 on 2-3
+    buses = tuple(Bus(id=i, is_slack=(i == 1)) for i in range(1, 8))
+    pairs = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (4, 5), (5, 6), (2, 7), (7, 3)]
+    grid = Grid(buses=buses, branches=tuple(
+        Branch(id=k, from_bus=f, to_bus=t, susceptance=float(k)) for k, (f, t) in enumerate(pairs, 1)
+    ))
+    sys = build_grounded_system(grid)
+    core, ends, w, steps = grid_model._series_parallel(sys.branch_ends, sys.b, sys.n)
+    assert core.tolist() == [0, 1, 2] and sorted(v for v, _, _ in steps) == [3, 4, 5]
+    # the series bus 7 merges into the parallel 2-3 branch: 4 + 9 * 10 / 19
+    assert np.allclose(sorted(w), [1.0, 2.0, 3.0, 5.0, 6.0, 4.0 + 90.0 / 19.0], rtol=1e-15, atol=0)
+    ref = np.linalg.inv(sys.B)
+    assert np.abs(sys.B_inv - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_B_and_chol_are_built_on_first_read(small_grids):
+    for grid in small_grids[:6]:
+        sys = build_grounded_system(grid)
+        lean = system_from_inverse(grid, sys.B_inv)  # a derived system builds them too
+        for s in (sys, lean):
+            L = s.chol[0]
+            assert np.abs(L @ L.T - s.B).max() <= 1e-12 * np.abs(s.B).max()
+        assert np.array_equal(lean.B, sys.B)
