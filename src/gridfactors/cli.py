@@ -15,37 +15,34 @@ import json
 import os
 import sys as _sys
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import (
+from .case_io import grid_from_json, parse_matpower, to_grid, write_factors
+from .errors import (
     CaseConversionError,
     CaseParseError,
-    ComposedUpdate,
     DegenerateSwitchError,
-    FactorMatrix,
-    Grid,
     GridStructureError,
-    GroundedSystem,
     IslandingError,
-    ModificationSet,
-    SplitSpec,
-    SwitchKernel,
-    SwitchStates,
-    bench_update_vs_rebuild,
-    build_grounded_system,
-    compute_flows,
-    grid_from_json,
-    outage_factors,
-    parse_matpower,
-    psdf_matrix,
-    ptdf_matrix,
-    solve_flow,
-    system_from_inverse,
-    to_grid,
-    write_factors,
 )
-from .grid_model import PST, SWITCH
+from .factors_base import FactorMatrix, compute_flows, ptdf_matrix, solve_flow
+from .grid_model import (
+    PST,
+    SWITCH,
+    Grid,
+    GroundedSystem,
+    build_grounded_system,
+    system_from_inverse,
+)
+
+if TYPE_CHECKING:
+    from .bus_topology import ComposedUpdate, SplitSpec
+
+# Modules that only some commands use (single_mod, pst, bus_topology,
+# multi_mod, oracle) are imported inside those commands, so a request
+# compiles and runs only the code it calls.
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -157,6 +154,8 @@ def cmd_factors(args) -> int:
     if args.kind == "ptdf":
         matrix = ptdf_matrix(sys)
     else:
+        from .pst import psdf_matrix
+
         matrix = psdf_matrix(sys)
     write_factors(matrix, args.out or _sys.stdout)
     return EXIT_OK
@@ -180,6 +179,8 @@ def _load_modset(raw: str) -> dict:
 
 
 def _split_from_doc(doc: dict) -> SplitSpec:
+    from .bus_topology import SplitSpec
+
     try:
         return SplitSpec(
             parent_bus=int(doc["parent"]),
@@ -203,6 +204,9 @@ def _switches_from_doc(doc: dict) -> dict:
 
 def _composed_update(doc: dict, sys: GroundedSystem) -> ComposedUpdate:
     """The modification JSON as one composed low-rank update of ``sys``."""
+    from .bus_topology import ComposedUpdate
+    from .multi_mod import ModificationSet, SwitchStates
+
     try:
         entries = tuple((int(d["branch"]), float(d["db"])) for d in doc.get("deltas", []))
     except (KeyError, TypeError, ValueError) as exc:
@@ -232,6 +236,8 @@ def cmd_whatif(args) -> int:
     pre = solve_flow(sys0)
 
     if args.enumerate:
+        from .multi_mod import SwitchKernel, SwitchStates
+
         switches = sorted(_switches_from_doc(doc))
         if not switches:
             raise CaseParseError("--enumerate requires a 'switches' entry")
@@ -290,6 +296,8 @@ def cmd_whatif(args) -> int:
 
 
 def cmd_n1(args) -> int:
+    from .single_mod import outage_factors
+
     grid, base = load_case(args.case)
     if args.after:
         doc = _load_modset(args.after)
@@ -302,27 +310,37 @@ def cmd_n1(args) -> int:
         sys = build_grounded_system(grid)
     f = solve_flow(sys).flows
     candidates = np.flatnonzero([br.in_service for br in grid.branches])
-    # blocks of outages keep every m x k temporary near N1_BLOCK_BYTES
+    # Criteria first. A bridge's outage islands, and no other single outage
+    # moves a bridge's flow, so only the other outages are gathered, on the
+    # other outages' rows; every remaining |f| enters each max as one constant.
+    screen = outage_factors(sys, candidates, rows=())
+    live = candidates[~screen.islands]
+    unmoved = np.abs(np.delete(f, live)).max(initial=0.0)
+    peaks = np.empty(len(live))
+    # blocks of outages keep every k x m temporary near N1_BLOCK_BYTES
     block = max(1, N1_BLOCK_BYTES // (8 * max(1, grid.n_branches)))
+    for start in range(0, len(live), block):
+        cols = live[start : start + block]
+        flows = outage_factors(sys, cols, live).lodf.T  # one row per outage, ours
+        flows *= f[cols, None]
+        flows += f[live]
+        np.abs(flows, out=flows)
+        peaks[start : start + len(cols)] = flows.max(axis=1)
+    post = np.full(len(candidates), np.nan)
+    post[~screen.islands] = np.maximum(peaks, unmoved) * base
     results = []
-    for start in range(0, len(candidates), block):
-        cols = candidates[start : start + block]
-        out = outage_factors(sys, cols)
-        ok = ~out.islands
-        post = np.full(len(cols), np.nan)
-        post[ok] = np.abs(f[:, None] + out.lodf[:, ok] * f[cols[ok]]).max(axis=0) * base
-        for j, e in enumerate(cols):
-            br = grid.branches[e]
-            results.append(
-                {
-                    "branch": br.id,
-                    "from": br.from_bus,
-                    "to": br.to_bus,
-                    "islands": bool(out.islands[j]),
-                    "criterion": float(out.criterion[j]),
-                    "post_max_flow": float(post[j]),
-                }
-            )
+    for j, e in enumerate(candidates):
+        br = grid.branches[e]
+        results.append(
+            {
+                "branch": br.id,
+                "from": br.from_bus,
+                "to": br.to_bus,
+                "islands": bool(screen.islands[j]),
+                "criterion": float(screen.criterion[j]),
+                "post_max_flow": float(post[j]),
+            }
+        )
     results.sort(
         key=lambda r: (
             not r["islands"],
@@ -335,6 +353,8 @@ def cmd_n1(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .oracle import bench_update_vs_rebuild
+
     result = bench_update_vs_rebuild(
         n_buses=args.n_buses, n_mods=args.mods, reps=args.reps, seed=args.seed
     )

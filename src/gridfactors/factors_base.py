@@ -9,7 +9,7 @@ injections (slack-referenced) to branch flows.
 Every branch susceptance change, finite or ideal, runs on one endpoint
 low-rank kernel, :class:`_LowRank`, with one bracket ``S^-1 + K`` (``1/s =
 0`` for an ideal closure). ``updated_inverse`` and ``lcdf_column`` read it
-for one branch; ``SwitchKernel``, ``outage_factors`` (its gathers only)
+for one branch; ``SwitchKernel``, ``outage_factors`` (``K_d`` and its gathers only)
 and ``bus_topology.ComposedUpdate`` (a whole modification set) for M
 branches. Bus splits also run on ``bus_topology._split_kernel``.
 """
@@ -17,6 +17,7 @@ branches. Bus splits also run on ``bus_topology._split_kernel``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -180,22 +181,66 @@ def _end_diff(ends: tuple[np.ndarray, np.ndarray], X: np.ndarray) -> np.ndarray:
 class _LowRank:
     """Update of a grounded inverse along the incidence columns ``U`` of some branches.
 
-    ``W = B^-1 U`` and ``K = U^T W`` are gathered on the branch endpoints
-    (the slack on the zero pad); ``K_d``, the diagonal of ``K``, holds each
-    branch's transfer impedance. :meth:`solve` runs one guarded solve on the
-    bracket ``S^-1 + K`` of Hager's rank-M update (W. W. Hager, "Updating
-    the inverse of a matrix", SIAM Review 31(2), 1989) for the changes
-    ``S``; an ideal closure is the column with ``1/s = 0``, the limit as
-    its susceptance diverges, so the bracket stays finite.
+    ``W = B^-1 U`` is gathered once on the branch endpoints, as the rows
+    ``Wt`` of ``W^T``: row-major, with a zero pad column ``n`` for the
+    slack. ``W`` is the transposed view of ``Wt``, so every reader shares
+    the one gather and no transposed copy is made. ``K = U^T W`` and the
+    LODF blocks of ``outage_factors`` are gathers on columns of ``Wt``
+    (:meth:`at_ends`). ``K_d``, the diagonal of ``K``, holds each branch's
+    transfer impedance; it is read off four entries of ``B^-1`` per branch,
+    so a screen can test its outages before it gathers anything.
+    :meth:`solve` runs one guarded solve on the bracket ``S^-1 + K`` of
+    Hager's rank-M update (W. W. Hager, "Updating the inverse of a matrix",
+    SIAM Review 31(2), 1989) for the changes ``S``; an ideal closure is the
+    column with ``1/s = 0``, the limit as its susceptance diverges, so the
+    bracket stays finite.
     """
 
     def __init__(self, sys: GroundedSystem, cols):
         self.sys = sys
         self.cols = cols = np.asarray(cols, dtype=np.intp)
         self.ends = (sys.branch_ends[0][cols], sys.branch_ends[1][cols])
-        self.W = np.ascontiguousarray(_end_diff(self.ends, sys.B_inv).T)
-        self.K = _end_diff(self.ends, self.W)
-        self.K_d = np.diag(self.K).copy()
+
+    @cached_property
+    def Wt(self) -> np.ndarray:
+        """Rows ``B^-1[from] - B^-1[to]`` per column, the slack's row and pad at zero."""
+        B_inv, n = self.sys.B_inv, self.sys.n
+        Wt = np.empty((len(self.cols), n + 1))
+        Wt[:, n] = 0.0
+        # one row at a time: no k x n temporaries, which cost more than the loop
+        frm, to = (e.tolist() for e in self.ends)
+        for row, f, t in zip(Wt, frm, to):
+            np.subtract(B_inv[f] if f < n else 0.0, B_inv[t] if t < n else 0.0, out=row[:n])
+        return Wt
+
+    @property
+    def W(self) -> np.ndarray:
+        """``B^-1 U``, n x k: the transposed view of ``Wt`` without its pad."""
+        return self.Wt[:, :-1].T
+
+    def at_ends(self, ends: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """``(E^T W)^T`` for the branches with grounded endpoints ``ends``: row
+        ``j`` holds ``W[from, j] - W[to, j]`` per branch, gathered on ``Wt``."""
+        out = self.Wt.take(ends[0], axis=1)
+        out -= self.Wt.take(ends[1], axis=1)
+        return out
+
+    @cached_property
+    def K(self) -> np.ndarray:
+        return self.at_ends(self.ends).T
+
+    @cached_property
+    def K_d(self) -> np.ndarray:
+        """``t_e = nu_e^T B^-1 nu_e``: the diagonal of ``K``, bit for bit, without ``Wt``."""
+        B_inv, n = self.sys.B_inv, self.sys.n
+        f, t = self.ends
+
+        def entry(r, c):  # B^-1[r, c], zero on the slack's pad
+            v = B_inv[np.minimum(r, n - 1), np.minimum(c, n - 1)]
+            v[(r == n) | (c == n)] = 0.0
+            return v
+
+        return (entry(f, f) - entry(t, f)) - (entry(f, t) - entry(t, t))
 
     def solve(self, rhs: np.ndarray, context: str, s_inv, part=slice(None)) -> np.ndarray:
         """Solve ``(S^-1 + K) x = rhs`` on the columns ``part`` (all by default).

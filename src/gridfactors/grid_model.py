@@ -457,7 +457,8 @@ def build_incidence(grid: Grid) -> IncidenceMatrix:
 
 
 class _Lazy:
-    """Dataclass field given as ``None`` and built by ``build(obj)`` on first read."""
+    """Dataclass field given as ``None`` and built by ``build(obj)`` on first
+    read; a build that yields ``None`` is kept too, and not repeated."""
 
     def __init__(self, build):
         self.build = build
@@ -468,13 +469,22 @@ class _Lazy:
     def __get__(self, obj, owner=None):
         if obj is None:
             raise AttributeError(self.key)  # no default: the field stays required
-        value = obj.__dict__.get(self.key)
-        if value is None:
-            value = obj.__dict__[self.key] = self.build(obj)
-        return value
+        if self.key not in obj.__dict__:
+            obj.__dict__[self.key] = self.build(obj)
+        return obj.__dict__[self.key]
 
     def __set__(self, obj, value):
-        obj.__dict__[self.key] = value
+        if value is not None:
+            obj.__dict__[self.key] = value
+
+
+def _cholesky_or_none(sys: GroundedSystem) -> tuple | None:
+    """``(L, True)`` for the lower Cholesky factor ``L`` of ``sys.B``; ``None``
+    when that ``B`` is not positive definite."""
+    try:
+        return np.linalg.cholesky(sys.B), True
+    except np.linalg.LinAlgError:
+        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -493,7 +503,9 @@ class GroundedSystem:
     factor. ``E_r``, ``B`` and ``chol`` are built on first read (pass
     ``None``), on systems derived through low-rank updates too, where they
     are those of ``grid`` (closed switches carry no susceptance there).
-    ``chol`` is ``(L, True)`` with ``L`` the lower Cholesky factor of ``B``.
+    ``chol`` is ``(L, True)`` with ``L`` the lower Cholesky factor of ``B``,
+    or ``None`` when ``B`` is not positive definite: on a derived system
+    whose grid is connected only through a closed switch, ``B`` is singular.
     """
 
     grid: Grid
@@ -504,7 +516,7 @@ class GroundedSystem:
     b: np.ndarray
     B_inv: np.ndarray
     B: np.ndarray = _Lazy(lambda s: _grounded_laplacian(s.branch_ends, s.b, s.n))
-    chol: tuple = _Lazy(lambda s: (np.linalg.cholesky(s.B), True))
+    chol: tuple | None = _Lazy(_cholesky_or_none)
 
     @property
     def n(self) -> int:

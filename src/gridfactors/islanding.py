@@ -19,9 +19,10 @@ def outage_islands(sys: GroundedSystem, branch: int) -> tuple[bool, float]:
     """Whether outaging ``branch`` disconnects the grid, plus the criterion.
 
     Returns ``(islands, 1 - b_e nu^T B^-1 nu)``; the scalar is compared to
-    zero with ``OUTAGE_RTOL`` scaled by the transfer term.
+    zero with ``OUTAGE_RTOL`` scaled by the transfer term. Reads the
+    criterion only: no LODF row is gathered.
     """
-    out = outage_factors(sys, [_branch_col(sys.grid, branch)])
+    out = outage_factors(sys, [_branch_col(sys.grid, branch)], rows=())
     return bool(out.islands[0]), float(out.criterion[0])
 
 

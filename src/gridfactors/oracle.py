@@ -222,6 +222,21 @@ def random_grid(seed: int, n_buses: int, avg_degree: float = 2.0) -> Grid:
     return Grid(buses=buses, branches=branches)
 
 
+def _median_seconds(run, reps: int) -> float:
+    """Median wall-clock of ``reps`` calls of ``run``, after one untimed call.
+
+    Each path runs in its own loop, so one path's timings do not depend on
+    the state (caches, BLAS worker threads) the other left behind.
+    """
+    run()
+    times = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - t0)
+    return float(np.median(times))
+
+
 def bench_update_vs_rebuild(
     n_buses: int,
     n_mods: int,
@@ -253,18 +268,11 @@ def bench_update_vs_rebuild(
             f"update and rebuild disagree (relative deviation {dev:.3g})"
         )
 
-    t_update = []
-    t_rebuild = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        woodbury_update(sys, mods)
-        t_update.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        grid_m = rebuild_grid(grid, deltas=mods.entries)
-        build_grounded_system(grid_m)
-        t_rebuild.append(time.perf_counter() - t0)
-    med_update = float(np.median(t_update))
-    med_rebuild = float(np.median(t_rebuild))
+    def rebuild():
+        build_grounded_system(rebuild_grid(grid, deltas=mods.entries))
+
+    med_update = _median_seconds(lambda: woodbury_update(sys, mods), reps)
+    med_rebuild = _median_seconds(rebuild, reps)
     return {
         "n_buses": n_buses,
         "n_mods": n_mods,

@@ -75,39 +75,59 @@ class OutageFactors(NamedTuple):
     criterion: np.ndarray  #: ``1 - b_e t_e``; zero flags a bridge
     transfer: np.ndarray  #: ``b_e t_e`` with ``t_e = nu_e^T B^-1 nu_e``
     islands: np.ndarray  #: criterion is zero within ``OUTAGE_RTOL``
-    lodf: np.ndarray  #: m x k LODF block, NaN columns where the outage islands
+    lodf: np.ndarray  #: monitored rows x k LODF block, NaN columns where the outage islands
 
 
-def outage_factors(sys: GroundedSystem, branch_idx: Sequence[int]) -> OutageFactors:
+def outage_factors(
+    sys: GroundedSystem, branch_idx: Sequence[int], rows: Sequence[int] | None = None
+) -> OutageFactors:
     """Islanding criteria and LODF columns for outaging each listed branch.
 
-    ``branch_idx`` holds k branch positions (incidence columns). The
-    endpoint kernel gathers ``W = B^-1 U`` on the outaged branches'
-    endpoints and ``t_e`` as the diagonal of ``U^T W``; ``H = E^T W``
-    (m x k, gathered on every branch's endpoints) holds ``E^T B^-1 nu_e``
-    for the j-th outage ``e`` in column j, and ``LODF = diag(b) H / (1 -
-    b_e t_e)``. Only gathers on branch endpoints are used, no matrix
-    product: a block costs O(k (n + m)).
+    ``branch_idx`` holds k branch positions (incidence columns), ``rows``
+    the distinct monitored branch positions (all branches by default; none
+    for criteria alone). The criteria ``1 - b_e t_e`` come first, off the
+    diagonal of the endpoint kernel. Only the non-islanding outages then
+    gather ``W = B^-1 U`` on their endpoints, and ``H = E^T W`` is gathered
+    on the monitored branches' endpoints only: ``LODF = diag(b) H / (1 -
+    b_e t_e)``, scaled in place. Gathers only, no matrix product: a block
+    costs O(k (n + len(rows))). ``lodf`` is the transposed view of a
+    row-major k x len(rows) array, one row per outage.
     """
     cols = np.atleast_1d(np.asarray(branch_idx, dtype=np.intp))
+    m = sys.grid.n_branches
+    rows = np.arange(m) if rows is None else np.asarray(rows, dtype=np.intp)
     up = _LowRank(sys, cols)
     transfer = sys.b[cols] * up.K_d
     criterion = 1.0 - transfer
     islands = np.abs(criterion) <= OUTAGE_RTOL * np.maximum(1.0, np.abs(transfer))
-    lodf = _end_diff(sys.branch_ends, up.W)  # H
-    lodf *= sys.b[:, None]
-    np.divide(lodf, criterion, out=lodf, where=~islands)  # islanded columns: never divided
-    lodf[cols, np.arange(len(cols))] = -1.0  # the self-entries exactly
-    lodf[:, islands] = np.nan
-    return OutageFactors(criterion, transfer, islands, lodf)
+    live = np.flatnonzero(~islands)
+    if not (live.size and rows.size):
+        return OutageFactors(criterion, transfer, islands, np.full((rows.size, cols.size), np.nan))
+    if live.size < cols.size:
+        up = _LowRank(sys, cols[live])
+    lodf = up.at_ends((sys.branch_ends[0][rows], sys.branch_ends[1][rows]))  # H^T
+    lodf *= sys.b[rows]
+    lodf /= criterion[live, None]
+    at = np.full(m, -1, dtype=np.intp)  # monitored position of each branch
+    at[rows] = np.arange(rows.size)
+    own = at[up.cols]
+    hit = np.flatnonzero(own >= 0)
+    lodf[hit, own[hit]] = -1.0  # the self-entries exactly
+    if live.size < cols.size:  # NaN rows for the outages that island
+        full = np.full((cols.size, rows.size), np.nan)
+        full[live] = lodf
+        lodf = full
+    return OutageFactors(criterion, transfer, islands, lodf.T)
 
 
-def _single_outage(sys: GroundedSystem, branch: int) -> tuple[int, OutageFactors]:
+def _single_outage(
+    sys: GroundedSystem, branch: int, rows: Sequence[int] | None = None
+) -> tuple[int, OutageFactors]:
     """Position and outage factors of one in-service branch; IslandingError for a bridge."""
     e = _branch_col(sys.grid, branch)
     if sys.b[e] <= 0.0:
         raise GridStructureError(f"branch {branch} is not in service")
-    out = outage_factors(sys, [e])
+    out = outage_factors(sys, [e], rows)
     if out.islands[0]:
         raise IslandingError(
             f"outage of branch {branch} would island the grid "
@@ -133,7 +153,7 @@ def post_outage_angle_diff(sys: GroundedSystem, branch: int, f_r: np.ndarray) ->
     ``db = -b_e``, that is ``f_r[e] / (b_e (1 - b_e t_e))``; zero pre-outage
     flow gives zero angle difference.
     """
-    e, out = _single_outage(sys, branch)
+    e, out = _single_outage(sys, branch, rows=())
     return float(np.asarray(f_r)[e]) / (sys.b[e] * float(out.criterion[0]))
 
 

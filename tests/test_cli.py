@@ -507,6 +507,56 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+#: the package's public names, as its eager ``__init__`` imported them
+PUBLIC_NAMES = (
+    "CaseConversionError CaseParseError DegenerateSwitchError GridFactorsError "
+    "GridStructureError IslandingError Branch Bus Grid GroundedSystem IncidenceMatrix "
+    "LINE PST SWITCH build_grounded_system build_incidence connected_components "
+    "system_from_inverse MatpowerCase grid_from_json grid_to_json parse_matpower "
+    "read_factors to_grid write_factors FactorMatrix FlowState compute_flows ptdf_matrix "
+    "solve_angles solve_flow BranchDelta OutageFactors lcdf_column lodf_column "
+    "outage_factors post_outage_angle_diff ptdf_after_mod updated_inverse "
+    "effective_injections psdf_matrix shift_vector ComposedUpdate SplitSpec TriConfig "
+    "apply_split bsdf_vector idle_bus_split lodf_after_split merge_inverse merged_ptdf "
+    "pad_inverse split_inverse split_ptdf switch_flow ModificationSet SwitchKernel "
+    "SwitchStates multi_merge_inverse multi_merge_ptdf multi_ptdf multi_split_inverse "
+    "woodbury_update xi_from_states outage_islands split_islands traversal_connectivity "
+    "bench_update_vs_rebuild contract_buses pseudo_inverse_check random_grid "
+    "rebuild_and_solve rebuild_grid"
+).split()
+
+
+def test_cli_import_loads_only_the_common_modules_and_names_stay_public():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gridfactors.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import json, sys, gridfactors.cli\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('gridfactors.'))\n"
+        "import gridfactors\n"
+        "names = json.loads(sys.argv[1])\n"
+        "resolved = [n for n in names if getattr(gridfactors, n, None) is not None]\n"
+        "in_all = [n for n in names if n in gridfactors.__all__]\n"
+        "in_dir = [n for n in names if n in dir(gridfactors)]\n"
+        "star = {}\n"
+        "exec('from gridfactors import *', star)\n"
+        "bound = [n for n in names if n in star]\n"
+        "print(json.dumps([loaded, resolved, in_all, in_dir, bound]))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(PUBLIC_NAMES)], env=env,
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    loaded, resolved, in_all, in_dir, bound = json.loads(out.stdout)
+    lazy = {"single_mod", "pst", "bus_topology", "multi_mod", "islanding", "oracle"}
+    assert not lazy & {m.split(".", 1)[1] for m in loaded}, loaded
+    assert "gridfactors.cli" in loaded
+    for got in (resolved, in_all, in_dir, bound):
+        assert got == PUBLIC_NAMES
+    assert len(set(PUBLIC_NAMES)) == len(PUBLIC_NAMES) == 73
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gridfactors.no_such_name  # noqa: B018
+
+
 @pytest.mark.parametrize(
     "argv, n_buses, read_first",
     [

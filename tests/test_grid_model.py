@@ -301,3 +301,25 @@ def test_B_and_chol_are_built_on_first_read(small_grids):
             L = s.chol[0]
             assert np.abs(L @ L.T - s.B).max() <= 1e-12 * np.abs(s.B).max()
         assert np.array_equal(lean.B, sys.B)
+
+
+def test_chol_is_none_on_a_derived_system_whose_own_B_is_singular():
+    # the new bus keeps one branch, a closed switch: the final grid is
+    # connected, but its B leaves the switch out and is singular
+    from gridfactors import random_grid
+    from gridfactors.cli import apply_modifications
+
+    from conftest import add_switches
+
+    grid, (sid,) = add_switches(random_grid(3, 8, 2.4), [(7, 4)])
+    doc = {
+        "switches": {str(sid): "closed"},
+        "splits": [{"parent": 4, "assignments": {str(sid): "new"},
+                    "injection_to_new": 0.5 * grid.bus(4).injection}],
+    }
+    _, sys = apply_modifications(grid, doc)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(sys.B)
+    assert sys.chol is None
+    assert sys.chol is None  # kept, not rebuilt
+    assert "_lazy_chol" in sys.__dict__

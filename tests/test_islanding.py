@@ -151,3 +151,24 @@ def test_case6ww_bus1_isolated_by_removing_incident_branches(ww_grid):
     comps = traversal_connectivity(ww_grid, removed_branches=incident)
     assert {1} in comps
     assert len(comps) == 2
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the outage criterion 1 - b t is formed from entries of B^-1 by "
+    "subtraction, so a bridge can be missed beyond about 20 decades of "
+    "susceptance spread in one grid (ROADMAP item 4)",
+)
+def test_outage_flags_a_bridge_at_24_decades_of_spread():
+    # slack -(1e-12)- bus 2 -(1e12)- bus 3: both lines are bridges. B^-1 at
+    # bus 3 is 1e12 + 1e-12, which rounds to 1e12, so the strong line's
+    # transfer impedance cancels to 0 and its criterion reads 1
+    from gridfactors import Branch, Bus, Grid
+
+    grid = Grid(
+        buses=(Bus(1, 0.0, True), Bus(2, 1.0), Bus(3, -1.0)),
+        branches=(Branch(1, 1, 2, 1e-12), Branch(2, 2, 3, 1e12)),
+    )
+    sys = build_grounded_system(grid)
+    assert outage_islands(sys, 1)[0]
+    assert outage_islands(sys, 2)[0]
