@@ -19,25 +19,28 @@ SUSCEPTANCE_FLOOR = -1e-12
 
 
 def _lu_pivots(M: np.ndarray) -> np.ndarray:
-    """Magnitudes ``|U_kk|`` of the LU factorization of M with partial pivoting.
+    """Magnitudes ``|U_kk|`` of the LU factorization with partial pivoting of
+    each matrix in a stack ``(..., k, k)``; returns ``(..., k)``.
 
     The pivot rule is LAPACK ``getrf``'s: in each column the first entry of
     largest magnitude on or below the diagonal. A zero pivot column is left
-    unreduced, as ``getrf`` leaves it. Meant for the small M x M matrices of
-    the update kernels: one Python step per column.
+    unreduced, as ``getrf`` leaves it. Meant for the small k x k matrices of
+    the update kernels: one Python step per column, for the whole stack.
     """
-    A = np.array(M, dtype=float)
-    k_n = A.shape[0]
-    piv = np.empty(k_n)
+    A = np.array(M, dtype=float).reshape(-1, *np.shape(M)[-2:])
+    at, k_n = np.arange(len(A)), A.shape[-1]
+    piv = np.empty((len(A), k_n))
     for k in range(k_n):
-        p = k + int(np.argmax(np.abs(A[k:, k])))
-        if p != k:
-            A[[k, p], k:] = A[[p, k], k:]
-        piv[k] = abs(A[k, k])
-        if A[k, k] != 0.0:
-            A[k + 1 :, k] /= A[k, k]
-            A[k + 1 :, k + 1 :] -= np.outer(A[k + 1 :, k], A[k, k + 1 :])
-    return piv
+        p = k + np.argmax(np.abs(A[:, k:, k]), axis=1)
+        row = A[at, k, k:]
+        A[at, k, k:] = A[at, p, k:]
+        A[at, p, k:] = row
+        d = A[:, k, k]
+        piv[:, k] = np.abs(d)
+        # a zero pivot's column is zero below it: dividing by 1 leaves it so
+        A[:, k + 1 :, k] /= np.where(d != 0.0, d, 1.0)[:, None]
+        A[:, k + 1 :, k + 1 :] -= A[:, k + 1 :, k, None] * A[:, k, None, k + 1 :]
+    return piv.reshape(np.shape(M)[:-1])
 
 
 def guarded_solve(
@@ -57,7 +60,7 @@ def guarded_solve(
     # a NaN would pass the pivot test and come back as a NaN solution
     if not (np.isfinite(M).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
-    diag = _lu_pivots(M)
+    diag = _lu_pivots(M[None])[0]
     scale = max(diag.max(), float(scale))
     if diag.min() <= PIVOT_RTOL * scale:
         raise IslandingError(

@@ -47,6 +47,7 @@ from .grid_model import (
     _Lazy,
     system_from_inverse,
 )
+from .multi_mod import SwitchKernel, SwitchStates
 from .single_mod import BranchDelta, _check_delta, lodf_column
 
 PARENT = "parent"
@@ -161,8 +162,6 @@ def merge_inverse(sys: GroundedSystem, switch: int) -> np.ndarray:
     result is singular in the unmerged coordinates and satisfies
     ``B_m^-1 nu_s = 0``: both terminals sit at the same angle.
     """
-    from .multi_mod import SwitchKernel, SwitchStates  # multi_mod imports this module
-
     return SwitchKernel(sys, [switch]).merged_inverse(SwitchStates((switch,), (True,)))
 
 
@@ -177,8 +176,6 @@ def switch_flow(sys: GroundedSystem, switch: int, p: np.ndarray | None = None) -
     Read off ``SwitchKernel.merged_angles`` for the one switch: the closure
     solve on the reference angles gives the switch's flow directly.
     """
-    from .multi_mod import SwitchKernel, SwitchStates  # multi_mod imports this module
-
     if p is None:
         p = sys.grid.injections()
     states = SwitchStates(switches=(switch,), closed=(True,))

@@ -10,7 +10,6 @@ grids are reported as-is.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys as _sys
@@ -27,7 +26,7 @@ from .errors import (
     GridStructureError,
     IslandingError,
 )
-from .factors_base import FactorMatrix, compute_flows, ptdf_matrix, solve_flow
+from .factors_base import FactorMatrix, ptdf_matrix, solve_flow
 from .grid_model import (
     PST,
     SWITCH,
@@ -50,7 +49,7 @@ EXIT_PARSE = 2
 EXIT_DISCONNECTED = 3
 EXIT_ISLANDS = 4
 
-#: target size of one m x k LODF block in the n-1 sweep
+#: target size of one m x k LODF block in the n-1 sweep, and of a switch sweep's blocks
 N1_BLOCK_BYTES = 4 << 20
 
 
@@ -238,31 +237,18 @@ def cmd_whatif(args) -> int:
     if args.enumerate:
         from .multi_mod import SwitchKernel, SwitchStates
 
-        switches = sorted(_switches_from_doc(doc))
-        if not switches:
+        ignored = sorted(k for k in ("deltas", "splits") if k in doc)
+        if ignored:
+            raise CaseParseError(f"--enumerate sweeps switch settings only; remove {ignored}")
+        states = SwitchStates.from_mapping(_switches_from_doc(doc))
+        if not states.switches:
             raise CaseParseError("--enumerate requires a 'switches' entry")
-        kernel = SwitchKernel(sys0, switches)
-        shifts = grid.shift_angles()
-        rows = []
-        for bits in itertools.product((False, True), repeat=len(switches)):
-            states = SwitchStates(switches=tuple(switches), closed=bits)
-            setting = "".join("1" if b else "0" for b in bits)
-            try:
-                theta, switch_flows = kernel.merged_angles(states, pre.angles)
-            except (DegenerateSwitchError, IslandingError):
-                rows.append({"setting": setting, "max_flow": float("nan"), "islands": True})
-                continue
-            flows = compute_flows(sys0, theta, shifts).flows
-            # a closed entry carries its own flow plus the closure's; an open
-            # one (a line or PST listed as a switch) has a zero closure flow
-            flows[kernel.cols] += switch_flows
-            rows.append(
-                {
-                    "setting": setting,
-                    "max_flow": float(np.max(np.abs(flows))) * base,
-                    "islands": False,
-                }
-            )
+        kernel = SwitchKernel(sys0, states.switches)
+        closed, peak, islands = kernel.sweep(pre.angles, pre.flows, N1_BLOCK_BYTES)
+        rows = [
+            {"setting": "".join("01"[b] for b in bits), "max_flow": p * base, "islands": i}
+            for bits, p, i in zip(closed.tolist(), peak.tolist(), islands.tolist())
+        ]
         _print_rows(rows, args.format)
         return EXIT_OK
 

@@ -229,17 +229,18 @@ class _LowRank:
     def K(self) -> np.ndarray:
         return self.at_ends(self.ends).T
 
+    def _inv_at(self, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Entries ``B^-1[r, c]`` for grounded rows and columns, zero on the slack's pad."""
+        n = self.sys.n
+        v = self.sys.B_inv[np.minimum(r, n - 1), np.minimum(c, n - 1)]
+        v[(r == n) | (c == n)] = 0.0
+        return v
+
     @cached_property
     def K_d(self) -> np.ndarray:
         """``t_e = nu_e^T B^-1 nu_e``: the diagonal of ``K``, bit for bit, without ``Wt``."""
-        B_inv, n = self.sys.B_inv, self.sys.n
         f, t = self.ends
-
-        def entry(r, c):  # B^-1[r, c], zero on the slack's pad
-            v = B_inv[np.minimum(r, n - 1), np.minimum(c, n - 1)]
-            v[(r == n) | (c == n)] = 0.0
-            return v
-
+        entry = self._inv_at
         return (entry(f, f) - entry(t, f)) - (entry(f, t) - entry(t, t))
 
     def solve(self, rhs: np.ndarray, context: str, s_inv, part=slice(None)) -> np.ndarray:

@@ -6,24 +6,26 @@ with ``U`` the stacked incidence vectors and ``S`` the diagonal of changes;
 Hager's bracket ``S^-1 + U^T B_r^-1 U`` reduces the new inverse to an
 M x M solve. An ideal switch's change diverges, so its column has
 ``1/s = 0`` and the bracket stays finite. ``woodbury_update`` and
-``multi_ptdf`` read ``bus_topology.ComposedUpdate``; ``SwitchKernel`` solves
-on the closed switches' block of ``K``; both run on the endpoint kernel
-``factors_base._LowRank``. Multi-coupler splits read the split kernel
-``bus_topology._split_kernel`` for M couplers.
+``multi_ptdf`` read ``bus_topology.ComposedUpdate``, imported inside them;
+``SwitchKernel`` solves on the closed switches' block of ``K`` (its sweep on
+stacks of such blocks); both run on ``factors_base._LowRank``. Multi-coupler
+splits read the split kernel ``bus_topology._split_kernel`` for M couplers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from ._linalg import PIVOT_RTOL, guarded_solve
-from .bus_topology import ComposedUpdate, TriConfig, _split_kernel
+from ._linalg import PIVOT_RTOL, _lu_pivots, guarded_solve
 from .errors import DegenerateSwitchError, GridStructureError
 from .factors_base import FactorMatrix, _LowRank, _end_diff, _wrap_ptdf
 from .grid_model import GroundedSystem, _branch_col
+
+if TYPE_CHECKING:
+    from .bus_topology import TriConfig
 
 
 @dataclass(frozen=True)
@@ -48,11 +50,15 @@ def woodbury_update(sys: GroundedSystem, mods: ModificationSet) -> np.ndarray:
     inverse unchanged. A singular inner matrix means the modification set
     islands the grid.
     """
+    from .bus_topology import ComposedUpdate
+
     return ComposedUpdate(sys, mods.entries).inverse()
 
 
 def multi_ptdf(sys: GroundedSystem, mods: ModificationSet) -> FactorMatrix:
     """PTDF of the grid with the whole modification set applied."""
+    from .bus_topology import ComposedUpdate
+
     up = ComposedUpdate(sys, mods.entries)
     return _wrap_ptdf(sys, up.inverse(), up.grid.susceptances())
 
@@ -103,8 +109,8 @@ class SwitchKernel(_LowRank):
         self.switches = tuple(switches)
         super().__init__(sys, [_branch_col(sys.grid, s) for s in self.switches])
         # K_d ~ 1/b: tested against B^-1_ff + B^-1_tt, the terms it is the difference of
-        d = np.append(np.diagonal(sys.B_inv), 0.0)
-        self.degenerate = self.K_d <= PIVOT_RTOL * (d[self.ends[0]] + d[self.ends[1]])
+        f, t = self.ends
+        self.degenerate = self.K_d <= PIVOT_RTOL * (self._inv_at(f, f) + self._inv_at(t, t))
 
     def xi(self, states: SwitchStates) -> np.ndarray:
         """Diagonal of the closure matrix: exactly 0 (open) or 1 (closed).
@@ -156,6 +162,51 @@ class SwitchKernel(_LowRank):
         y[closed] = self.solve(rhs, "multi-switch merge", np.zeros(closed.size), closed)
         return theta - self.W[:, closed] @ y[closed], y
 
+    def sweep(
+        self, theta: np.ndarray, f0: np.ndarray, block_bytes: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Closed flags (settings x M, ``itertools.product`` order), largest
+        |flow| and islanding flag of every setting, from reference angles and
+        flows. Per block of about ``block_bytes`` the brackets hold ``K`` on
+        the closed entries and identity rows and columns on the open ones, so
+        the closed pivots are bit for bit those :meth:`merged_angles` judges;
+        one solve gives the closure flows ``Z``, one product ``f0 - Z P^T``.
+        """
+        M, m = len(self.switches), len(f0)
+        closed = np.empty((2**M, M), dtype=bool)
+        for j in range(M):
+            closed[:, j] = np.arange(2**M) >> (M - 1 - j) & 1
+        peak, islands = np.full(2**M, np.nan), np.ones(2**M, dtype=bool)
+        if self.degenerate.any():  # merged_angles raises for every setting
+            return closed, peak, islands
+        K, u = self.K, _end_diff(self.ends, np.asarray(theta, dtype=float))
+        if not (np.isfinite(K).all() and np.isfinite(u).all()):
+            raise ValueError("array must not contain infs or NaNs")
+        neg_P, eye = self.at_ends(self.sys.branch_ends), np.eye(M)  # P = diag(b) E^T W
+        neg_P *= -self.sys.b
+        block = max(1, block_bytes // (8 * (m + M * M)))
+        for start in range(0, 2**M, block):
+            at = slice(start, min(start + block, 2**M))
+            c = closed[at]
+            cc = c[:, :, None] & c[:, None, :]
+            A = np.where(cc, K, eye)
+            # guarded_solve's rule on each closed block, its scale max |K_cc|
+            piv = _lu_pivots(A)
+            scale = np.where(cc, np.abs(K), 0.0).max((1, 2))
+            scale = np.maximum(np.where(c, piv, 0.0).max(1), scale)
+            bad = np.where(c, piv, np.inf).min(axis=1) <= PIVOT_RTOL * scale
+            A[bad] = eye
+            Z = np.linalg.solve(A, (c * u)[..., None])[..., 0]
+            F = Z @ neg_P
+            F += f0
+            # a closed entry carries its own flow plus the closure's; an open
+            # one (a line or PST listed as a switch) has a zero closure flow
+            F[:, self.cols] += Z
+            peak[at] = np.abs(F, out=F).max(axis=1)
+            peak[at][bad] = np.nan
+            islands[at] = bad
+        return closed, peak, islands
+
 
 def xi_from_states(sys: GroundedSystem, states: SwitchStates) -> np.ndarray:
     """Closure diagonal for a switch setting against the all-open reference."""
@@ -197,6 +248,8 @@ def multi_split_inverse(tri: TriConfig) -> np.ndarray:
     U^T (1 - B_o B_c^-1)``; a singular inner matrix means the combined
     openings island the grid even if each one alone would not.
     """
+    from .bus_topology import _split_kernel
+
     GU, inner, scale, _ = _split_kernel(tri)
     X = guarded_solve(inner, GU.T, context="multi-coupler bus split", scale=scale)
     return tri.B_c_inv + GU @ X

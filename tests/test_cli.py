@@ -765,3 +765,64 @@ def test_whatif_forms_no_updated_inverse(ww_path, tmp_path, capsys, monkeypatch)
     doc = json.dumps(_staged_doc(grid, list(sids[1:3])))
     assert main(["whatif", str(path), "--mods", doc]) == 0
     assert "max |f| = " in capsys.readouterr().out
+
+
+def test_enumerate_rejects_a_bad_switch_state(tmp_path, capsys):
+    grid, sids = sweep_grid(3, 14)
+    path = tmp_path / "sweep.json"
+    path.write_text(grid_to_json(grid))
+    doc = json.dumps({"switches": {str(sids[0]): "bogus", str(sids[1]): "open"}})
+    assert main(["whatif", str(path), "--mods", doc, "--enumerate"]) == 2
+    err = capsys.readouterr().err
+    assert f"switch {sids[0]}: state must be 'open' or 'closed'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        ({"deltas": [{"branch": 1, "db": 0.5}]}, "['deltas']"),
+        ({"splits": []}, "['splits']"),
+        ({"splits": [], "deltas": []}, "['deltas', 'splits']"),
+    ],
+    ids=["deltas", "splits", "both"],
+)
+def test_enumerate_rejects_entries_it_would_ignore(extra, named, tmp_path, capsys):
+    grid, sids = sweep_grid(3, 14)
+    path = tmp_path / "sweep.json"
+    path.write_text(grid_to_json(grid))
+    doc = json.dumps({"switches": {str(s): "open" for s in sids}, **extra})
+    assert main(["whatif", str(path), "--mods", doc, "--enumerate"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --enumerate") and named in err
+
+
+def test_multi_mod_import_loads_neither_bus_topology_nor_single_mod():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gridfactors.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import gridfactors.multi_mod as mm\n"
+        "print(sorted(m for m in ('gridfactors.bus_topology', 'gridfactors.single_mod')"
+        " if m in sys.modules))\n"
+        "from gridfactors import (SplitSpec, build_grounded_system, merge_inverse,\n"
+        "    pad_inverse, random_grid, switch_flow)\n"
+        "from gridfactors.cases import case6ww\n"
+        "from gridfactors.case_io import to_grid\n"
+        "sys6 = build_grounded_system(to_grid(case6ww()))\n"
+        "mods = mm.ModificationSet(entries=((1, 0.5), (4, -0.2)))\n"
+        "assert np.isfinite(mm.woodbury_update(sys6, mods)).all()\n"
+        "assert np.isfinite(mm.multi_ptdf(sys6, mods).values).all()\n"
+        "split = SplitSpec(parent_bus=5, assignments={3: 'new', 8: 'new'}, new_bus=7,\n"
+        "    injection_to_new=-0.7)\n"
+        "assert np.isfinite(mm.multi_split_inverse(pad_inverse(sys6, split))).all()\n"
+        "assert np.isfinite(merge_inverse(sys6, 1)).all()\n"
+        "assert np.isfinite(switch_flow(sys6, 1))\n"
+        "print('ok')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert out.stdout.split() == ["[]", "ok"]
