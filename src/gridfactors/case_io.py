@@ -10,16 +10,14 @@ from __future__ import annotations
 import functools
 import io
 import json
-import logging
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CaseConversionError, CaseParseError, GridStructureError
-from .factors_base import PTDF, FactorMatrix
+from .factors_base import PTDF, FactorMatrix, FactorRows
 from .grid_model import LINE, PST, Branch, Bus, Grid
-
-logger = logging.getLogger(__name__)
 
 # table name -> minimum number of columns we rely on
 _REQUIRED_TABLES = {"bus": 3, "gen": 2, "branch": 4}
@@ -66,15 +64,10 @@ def parse_matpower(text) -> MatpowerCase:
     scalars: dict[str, float] = {}
     tables: dict[str, list[list[float]]] = {}
     current: str | None = None
-    row_buf: list[str] = []
 
-    def finish_row(lineno: int) -> None:
-        tokens = " ".join(row_buf).split()
-        row_buf.clear()
-        if not tokens:
-            return
+    def add_row(piece: str, lineno: int) -> None:
         try:
-            row = [float(t) for t in tokens]
+            row = [float(t) for t in piece.split()]
         except ValueError as exc:
             raise CaseParseError(f"non-numeric token in mpc.{current}: {exc}", line=lineno)
         rows = tables[current]
@@ -87,46 +80,24 @@ def parse_matpower(text) -> MatpowerCase:
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if current is not None:
-            closing = "];" in line or line.endswith("]")
-            body = line.split("]")[0]
-            for piece in body.split(";"):
-                piece = piece.strip()
-                if piece:
-                    row_buf.append(piece)
-                    finish_row(lineno)
-            if closing:
-                finish_row(lineno)
-                current = None
-            continue
-        if not line.startswith("mpc."):
-            continue  # function header, return statements, etc.
-        name, _, rhs = line.partition("=")
-        name = name[4:].strip()
-        rhs = rhs.strip()
-        if rhs.startswith("["):
-            tables[name] = []
-            current = name
-            rest = rhs[1:].strip()
-            if rest:
-                closing = "];" in rest or rest.endswith("]")
-                body = rest.split("]")[0]
-                for piece in body.split(";"):
-                    piece = piece.strip()
-                    if piece:
-                        row_buf.append(piece)
-                        finish_row(lineno)
-                if closing:
-                    finish_row(lineno)
-                    current = None
-        else:
-            value = rhs.rstrip(";").strip().strip("'\"")
-            try:
-                scalars[name] = float(value)
-            except ValueError:
-                pass  # string fields such as mpc.version
+        if current is None:
+            if not line.startswith("mpc."):
+                continue  # function header, return statements, etc.
+            name, _, rhs = line.partition("=")
+            name, rhs = name[4:].strip(), rhs.strip()
+            if not rhs.startswith("["):
+                try:
+                    scalars[name] = float(rhs.rstrip(";").strip().strip("'\""))
+                except ValueError:
+                    pass  # string fields such as mpc.version
+                continue
+            tables[name], current, line = [], name, rhs[1:].strip()
+        # one row per ';'-separated piece, up to the closing ']'
+        for piece in line.split("]")[0].split(";"):
+            if piece.strip():
+                add_row(piece, lineno)
+        if "];" in line or line.endswith("]"):
+            current = None
 
     if current is not None:
         raise CaseParseError(f"unterminated table mpc.{current}")
@@ -179,7 +150,9 @@ def to_grid(case: MatpowerCase) -> Grid:
     residual = sum(inj.values())
     if residual != 0.0:
         inj[slack] -= residual
-        logger.info(
+        import logging  # here only: every request would pay for its import
+
+        logging.getLogger(__name__).info(
             "rebalanced case at slack bus %d by %+.6g pu", slack, -residual
         )
 
@@ -267,7 +240,7 @@ def _col_prefix(kind: str) -> str:
     return "bus" if kind == PTDF else "branch"
 
 
-def write_factors(matrix: FactorMatrix, sink=None) -> str | None:
+def write_factors(matrix: FactorMatrix | FactorRows, sink=None) -> str | None:
     """Write a factor matrix as CSV with full double precision.
 
     Header row holds the column labels, each data row starts with its
@@ -277,7 +250,8 @@ def write_factors(matrix: FactorMatrix, sink=None) -> str | None:
     17-digit rounding tie, is written by that %-template instead, as is a
     matrix with no columns. ``sink`` may be a path or a writable stream,
     which receive the CSV block by block; with no sink the CSV text is
-    returned instead.
+    returned instead. :class:`FactorRows` blocks are computed as written,
+    by two processes on a file or pipe on Linux (:func:`_write_chunks`).
     """
     if sink is None:
         buf = io.StringIO()
@@ -406,7 +380,7 @@ def _format_block(values):
     return lines, bad.reshape(values.shape).any(axis=1)
 
 
-def _write_csv(matrix: FactorMatrix, fh) -> None:
+def _write_csv(matrix: FactorMatrix | FactorRows, fh) -> None:
     prefix = _col_prefix(matrix.kind)
     fh.write("branch," + ",".join(f"{prefix}{c}" for c in matrix.col_labels) + "\n")
     # one %-template per row formats the same digits as f"{v:.17g}" per value;
@@ -416,14 +390,87 @@ def _write_csv(matrix: FactorMatrix, fh) -> None:
         fh.writelines(template % (rid,) for rid in matrix.row_labels)
         return
     step = max(1, CSV_BLOCK_BYTES // (400 * len(matrix.col_labels)))
-    for start in range(0, len(matrix.row_labels), step):
-        ids = matrix.row_labels[start : start + step]
-        block = matrix.values[start : start + step]
-        lines, bad = _format_block(np.asarray(block, dtype=float))
-        fh.write("".join(
+
+    def chunk(i: int) -> str:
+        rows = slice(i * step, (i + 1) * step)
+        block = np.asarray(matrix.block(rows), dtype=float)
+        lines, bad = _format_block(block)
+        return "".join(
             template % (rid, *row.tolist()) if b else "%d,%s\n" % (rid, line)
-            for rid, row, line, b in zip(ids, block, lines, bad)
-        ))
+            for rid, row, line, b in zip(matrix.row_labels[rows], block, lines, bad)
+        )
+
+    _write_chunks(fh, chunk, -(-len(matrix.row_labels) // step))
+
+
+_EPIPE_EXIT = 32  # exit status of a writer child whose sink's reader went away
+
+
+def _write_chunks(fh, chunk, n: int) -> None:
+    """Write ``chunk(0)``, ..., ``chunk(n - 1)`` to the text stream ``fh`` in order:
+    with two or more chunks and CPUs and a sink writing to a file descriptor,
+    a forked child computes and writes the odd chunks, this process the even
+    ones, each only while it holds a turn token passed over a pipe pair. The
+    child calls no BLAS and ends with ``os._exit``; this process reaps it,
+    killed first if this process fails, and never returns after a short output.
+    """
+
+    def turns(mine, wait_fd=None, pass_fd=None) -> bool:
+        for i in mine:
+            text = chunk(i)
+            if wait_fd is not None and i > 0 and not os.read(wait_fd, 1):
+                return False  # the other process is gone
+            fh.write(text)
+            fh.flush()
+            if pass_fd is not None and i + 1 < n:
+                os.write(pass_fd, b"t")
+        return True
+
+    try:  # a text stream over a buffered or raw OS file
+        fork = n > 1 and isinstance(getattr(fh.buffer, "raw", fh.buffer), io.FileIO)
+        fork = fork and len(os.sched_getaffinity(0)) > 1
+    except AttributeError:  # no such stream, or not Linux
+        fork = False
+    if not fork:
+        turns(range(n))
+        return
+    fh.flush()  # or the child would write the buffered text again
+    # each process closes the write end of the pipe it reads: its wait ends
+    # when the other process is gone; a token written never meets a closed pipe
+    to_child, to_parent = os.pipe(), os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(to_child[1])
+            code = 0 if turns(range(1, n, 2), to_child[0], to_parent[1]) else 1
+        except BrokenPipeError:
+            code = _EPIPE_EXIT
+        except BaseException:
+            import traceback
+
+            traceback.print_exc()
+            raise
+        finally:  # the child never returns: no caller's code runs twice
+            os._exit(code)
+    os.close(to_parent[1])
+    try:
+        done = turns(range(0, n, 2), to_parent[0], to_child[1])
+        status = os.waitpid(pid, 0)[1]
+        pid = 0
+    finally:
+        if pid:  # this process failed: the child's chunks have no use
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in (*to_child, to_parent[0]):
+            os.close(fd)
+    code = os.waitstatus_to_exitcode(status)
+    if code == _EPIPE_EXIT:
+        raise BrokenPipeError("the reader of the factor CSV went away")
+    if code or not done:
+        raise ChildProcessError(f"factor CSV writer process failed (exit status {code})")
 
 
 def read_factors(source, kind: str = PTDF) -> FactorMatrix:

@@ -26,7 +26,7 @@ from .errors import (
     GridStructureError,
     IslandingError,
 )
-from .factors_base import FactorMatrix, ptdf_matrix, solve_flow
+from .factors_base import ptdf_rows, solve_flow
 from .grid_model import (
     PST,
     SWITCH,
@@ -149,14 +149,13 @@ def cmd_factors(args) -> int:
     grid, _ = load_case(args.case)
     grid = _apply_shift_flags(grid, args.shift)
     sys = build_grounded_system(grid)
-    matrix: FactorMatrix
     if args.kind == "ptdf":
-        matrix = ptdf_matrix(sys)
+        rows = ptdf_rows(sys)
     else:
-        from .pst import psdf_matrix
+        from .pst import psdf_rows
 
-        matrix = psdf_matrix(sys)
-    write_factors(matrix, args.out or _sys.stdout)
+        rows = psdf_rows(sys)
+    write_factors(rows, args.out or _sys.stdout)  # each block computed as it is written
     return EXIT_OK
 
 

@@ -17,8 +17,8 @@ branches. Bus splits also run on ``bus_topology._split_kernel``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence
+from functools import cached_property, partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -76,6 +76,9 @@ class FactorMatrix:
     def row(self, branch_id: int) -> np.ndarray:
         return self.values[self.row_labels.index(branch_id)]
 
+    def block(self, rows: slice) -> np.ndarray:  # as FactorRows.block
+        return self.values[rows]
+
     def column(self, label: int) -> np.ndarray:
         """Column for a bus/branch label; zeros for an unstored slack column."""
         if label in self.col_labels:
@@ -83,6 +86,17 @@ class FactorMatrix:
         if self.kind == PTDF:
             return np.zeros(len(self.row_labels))
         raise KeyError(label)
+
+
+@dataclass(frozen=True, eq=False)
+class FactorRows:
+    """A factor matrix as its labels and a row kernel: ``block(rows)`` computes
+    the rows of a slice, so a writer streams them and never holds them all."""
+
+    block: Callable[[slice], np.ndarray]
+    row_labels: tuple[int, ...]
+    col_labels: tuple[int, ...]
+    kind: str = PTDF
 
 
 def solve_angles(sys: GroundedSystem, p: np.ndarray) -> np.ndarray:
@@ -287,18 +301,23 @@ class _LowRank:
         return None
 
 
+def _ptdf_block(ends, B_inv: np.ndarray, b: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    """The one PTDF row kernel: rows ``rows`` of ``diag(b) E^T B_inv``, row
+    ``e`` being ``b_e (B_inv[from e] - B_inv[to e])`` gathered on the grounded
+    endpoints ``ends``: O(n) a row, no product. Rows with ``b_e = 0`` are +0.0."""
+    values = _end_diff((ends[0][rows], ends[1][rows]), B_inv)
+    b = b[rows]
+    values *= b[:, None]
+    values[b == 0.0] = 0.0
+    return values
+
+
 def _wrap_ptdf(
     sys: GroundedSystem, B_inv: np.ndarray, b: np.ndarray, drop: Sequence[int] = ()
 ) -> FactorMatrix:
     """PTDF ``diag(b) E^T B_inv`` for an inverse and susceptances in the
-    coordinates of ``sys`` (such as updated ones), rows of ``drop`` left out.
-
-    Row ``e`` is ``b_e (B_inv[from e] - B_inv[to e])``, gathered on the
-    branch endpoints: O(nm), no product. Rows with ``b_e = 0`` are +0.0.
-    """
-    values = _end_diff(sys.branch_ends, B_inv)
-    values *= b[:, None]
-    values[b == 0.0] = 0.0
+    coordinates of ``sys`` (such as updated ones), rows of ``drop`` left out."""
+    values = _ptdf_block(sys.branch_ends, B_inv, b)
     rows = sys.grid.branch_ids
     if drop:
         keep = [i for i, bid in enumerate(rows) if bid not in drop]
@@ -313,3 +332,9 @@ def ptdf_matrix(sys: GroundedSystem) -> FactorMatrix:
     rows of the grounded inverse at each branch's endpoints.
     """
     return _wrap_ptdf(sys, sys.B_inv, sys.b)
+
+
+def ptdf_rows(sys: GroundedSystem) -> FactorRows:
+    """The rows of :func:`ptdf_matrix`, each block computed when it is read."""
+    block = partial(_ptdf_block, sys.branch_ends, sys.B_inv, sys.b)
+    return FactorRows(block, sys.grid.branch_ids, sys.bus_ids, PTDF)

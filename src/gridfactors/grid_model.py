@@ -552,14 +552,8 @@ class GroundedSystem:
 
     def expand(self, x_reduced: np.ndarray, slack_value: float = 0.0) -> np.ndarray:
         """Insert the slack entry back into a grounded-coordinate vector."""
-        out = np.empty(self.grid.n_buses)
-        j = 0
-        for i, bus in enumerate(self.grid.buses):
-            if bus.is_slack:
-                out[i] = slack_value
-            else:
-                out[i] = x_reduced[j]
-                j += 1
+        out = np.full(self.grid.n_buses, float(slack_value))
+        out[self._non_slack_rows] = x_reduced
         return out
 
 

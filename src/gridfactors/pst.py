@@ -14,12 +14,14 @@ import numpy as np
 from .errors import GridStructureError
 from .factors_base import (
     FactorMatrix,
+    FactorRows,
     PSDF,
     PTDF,
+    _ptdf_block,
     _shifted_injections,
     ptdf_matrix,
 )
-from .grid_model import Grid, GroundedSystem, PST, _branch_col
+from .grid_model import Grid, GroundedSystem, PST, _branch_col, _branch_ends
 
 
 def shift_vector(grid: Grid, shifts: dict[int, float] | None = None) -> np.ndarray:
@@ -74,26 +76,39 @@ def psdf_matrix(
     b = sys.b if susceptances is None else np.asarray(susceptances, dtype=float)
     if ptdf.kind != PTDF:
         raise GridStructureError(f"PSDF needs a PTDF matrix, got {ptdf.kind}")
-    # the endpoint columns of every branch, gathered at once; a bus without a
-    # stored column (the slack) reads the zero pad column
+    # each branch's endpoint columns; the slack's, not stored, is the zero pad
     col_of = {label: j for j, label in enumerate(ptdf.col_labels)}
-    pad = len(col_of)
-    frm = [col_of.get(br.from_bus, pad) for br in grid.branches]
-    to = [col_of.get(br.to_bus, pad) for br in grid.branches]
-    padded = np.zeros((ptdf.values.shape[0], pad + 1))
-    padded[:, :pad] = ptdf.values
-    # b_e (PTDF[:, to] - PTDF[:, from]) is -b_e (PTDF[:, from] - PTDF[:, to])
-    # bit for bit, except that exact zeros come out +0.0, never -0.0 (which
-    # prints as -0); columns with b_e = 0 stay +0.0 by the mask
-    diff = padded[:, to]
-    diff -= padded[:, frm]
-    n_e = grid.n_branches
-    values = np.zeros((n_e, n_e))
-    np.multiply(b, diff, out=values, where=b != 0.0)
-    values[np.arange(n_e), np.arange(n_e)] += b
     return FactorMatrix(
-        values=values,
+        values=_psdf_block(ptdf.values, _branch_ends(grid, col_of, len(col_of)), b, 0),
         row_labels=grid.branch_ids,
         col_labels=grid.branch_ids,
         kind=PSDF,
     )
+
+
+def _psdf_block(ptdf: np.ndarray, ends, b: np.ndarray, first: int) -> np.ndarray:
+    """The one PSDF row kernel: rows ``first, first + 1, ...`` from the same
+    rows of the PTDF, whose columns of each branch's ends are ``ends``."""
+    padded = np.zeros((ptdf.shape[0], ptdf.shape[1] + 1))
+    padded[:, :-1] = ptdf
+    # b_e (PTDF[:, to] - PTDF[:, from]) is -b_e (PTDF[:, from] - PTDF[:, to])
+    # bit for bit, except that exact zeros come out +0.0, never -0.0 (which
+    # prints as -0); columns with b_e = 0 stay +0.0 by the mask
+    diff = padded[:, ends[1]]
+    diff -= padded[:, ends[0]]
+    values = np.zeros(diff.shape)
+    np.multiply(b, diff, out=values, where=b != 0.0)
+    at = np.arange(len(values))
+    values[at, first + at] += b[first + at]
+    return values
+
+
+def psdf_rows(sys: GroundedSystem) -> FactorRows:
+    """The rows of ``psdf_matrix(sys)``, each block computed from the same PTDF
+    rows when it is read: no m x n or m x m matrix is formed."""
+    ends, B_inv, b = sys.branch_ends, sys.B_inv, sys.b  # PTDF columns: grounded rows
+
+    def block(rows: slice) -> np.ndarray:
+        return _psdf_block(_ptdf_block(ends, B_inv, b, rows), ends, b, rows.indices(len(b))[0])
+
+    return FactorRows(block, sys.grid.branch_ids, sys.grid.branch_ids, PSDF)

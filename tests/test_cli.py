@@ -507,6 +507,17 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_logging():
+    # case_io logs only when it rebalances a case; the import is paid there
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gridfactors.__file__)))
+    code = "import sys, gridfactors.cli; print('logging' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"
+
+
 #: the package's public names, as its eager ``__init__`` imported them
 PUBLIC_NAMES = (
     "CaseConversionError CaseParseError DegenerateSwitchError GridFactorsError "

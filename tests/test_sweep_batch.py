@@ -8,6 +8,7 @@ import pytest
 
 from gridfactors import (
     Branch,
+    Bus,
     DegenerateSwitchError,
     Grid,
     IslandingError,
@@ -17,6 +18,7 @@ from gridfactors import (
     compute_flows,
     random_grid,
     solve_flow,
+    system_from_inverse,
 )
 from gridfactors import multi_mod
 from gridfactors._linalg import _lu_pivots
@@ -175,3 +177,32 @@ def test_sweep_memory_stays_within_blocks():
     out = closed.nbytes + peak.nbytes + islands.nbytes
     assert peak_traced <= 4 * block_bytes + out, peak_traced
     assert peak_traced < 2**M * M * M * 8  # no stack of every setting's bracket
+
+
+def test_bracket_at_roundoff_against_its_largest_entry_islands():
+    # an inverse carrying roundoff, as a derived system may: switch (2,3)
+    # has t = 2e-24 off entries of 1e-15, switch (4, slack) t = 1, and their
+    # coupling is 1e-12. Closing both gives the bracket [[2e-24, 1e-12],
+    # [1e-12, 1]]: its LU pivots are 1e-12 and 1e-12, balanced among
+    # themselves, but 1e-12 of its largest entry. Only the max |K_cc| term
+    # of the scale, in the sweep and in _LowRank.solve, flags it.
+    buses = tuple(Bus(id=i, injection=0.0, is_slack=i == 1) for i in range(1, 5))
+    lines = tuple(Branch(id=i, from_bus=i, to_bus=i + 1, susceptance=1.0) for i in range(1, 4))
+    grid, sids = add_switches(Grid(buses=buses, branches=lines), [(2, 3), (4, 1)])
+    X = np.zeros((3, 3))
+    X[0, 0] = X[1, 1] = 1e-15
+    X[0, 1] = X[1, 0] = 1e-15 - 1e-24
+    X[0, 2] = X[2, 0] = 1e-12
+    X[2, 2] = 1.0
+    kernel = SwitchKernel(system_from_inverse(grid, X), sids)
+    assert not kernel.degenerate.any()
+    assert np.allclose(_lu_pivots(kernel.K), 1e-12, rtol=1e-6, atol=0)
+    assert np.abs(kernel.K).max() == 1.0
+    closed, peak, islands = kernel.sweep(np.zeros(3), np.zeros(grid.n_branches), N1_BLOCK_BYTES)
+    assert closed[-1].all() and islands.tolist() == [False, False, False, True]
+    assert np.isnan(peak[-1]) and np.isfinite(peak[:-1]).all()
+    both = SwitchStates(sids, (True, True))
+    with pytest.raises(IslandingError):
+        kernel.merged_angles(both, np.zeros(3))
+    for one in ((True, False), (False, True)):
+        kernel.merged_angles(SwitchStates(sids, one), np.zeros(3))
