@@ -130,27 +130,7 @@ def apply_split(grid: Grid, split: SplitSpec) -> Grid:
     The result may be disconnected, which the factor routes detect through
     their islanding criteria.
     """
-    r = _resolve_split(grid, split)
-    buses = []
-    for bus in grid.buses:
-        if bus.id == r.parent:
-            buses.append(replace(bus, injection=bus.injection - r.injection_to_new))
-        else:
-            buses.append(bus)
-    buses.append(Bus(id=r.new_bus, injection=r.injection_to_new))
-    branches = []
-    for br in grid.branches:
-        if br.id in r.moved:
-            branches.append(
-                replace(
-                    br,
-                    from_bus=r.new_bus if br.from_bus == r.parent else br.from_bus,
-                    to_bus=r.new_bus if br.to_bus == r.parent else br.to_bus,
-                )
-            )
-        else:
-            branches.append(br)
-    return Grid(buses=tuple(buses), branches=tuple(branches))
+    return _apply_splits(grid, split)[0]
 
 
 # --- bus merge (switch closing) ----------------------------------------------
@@ -216,14 +196,33 @@ class TriConfig:
 def _apply_splits(
     grid: Grid, splits: SplitSpec | Sequence[SplitSpec]
 ) -> tuple[Grid, list[_ResolvedSplit]]:
-    """Grid with the splits applied in order, each resolved on the grid it splits."""
+    """Grid with the splits applied in order, each resolved once, on the grid it splits."""
     if isinstance(splits, SplitSpec):
         splits = [splits]
     resolved = []
     for spec in splits:
         r = _resolve_split(grid, spec)
-        grid = apply_split(grid, replace(spec, new_bus=r.new_bus))
         resolved.append(r)
+        buses = []
+        for bus in grid.buses:
+            if bus.id == r.parent:
+                buses.append(replace(bus, injection=bus.injection - r.injection_to_new))
+            else:
+                buses.append(bus)
+        buses.append(Bus(id=r.new_bus, injection=r.injection_to_new))
+        branches = []
+        for br in grid.branches:
+            if br.id in r.moved:
+                branches.append(
+                    replace(
+                        br,
+                        from_bus=r.new_bus if br.from_bus == r.parent else br.from_bus,
+                        to_bus=r.new_bus if br.to_bus == r.parent else br.to_bus,
+                    )
+                )
+            else:
+                branches.append(br)
+        grid = Grid(buses=tuple(buses), branches=tuple(branches))
     return grid, resolved
 
 

@@ -33,8 +33,8 @@ class MatpowerCase:
     branch: np.ndarray
 
     def __post_init__(self):
-        if self.base_mva <= 0:
-            raise CaseParseError(f"baseMVA must be positive, got {self.base_mva}")
+        if not (np.isfinite(self.base_mva) and self.base_mva > 0):
+            raise CaseParseError(f"baseMVA must be finite and positive, got {self.base_mva}")
         bus_ids = set(int(b) for b in self.bus[:, 0]) if self.bus.size else set()
         # Pd and Pg make up the injections; a NaN would pass the balance check
         for table, col, label in ((self.bus, 2, "Pd"), (self.gen, 1, "Pg")):

@@ -42,9 +42,6 @@ class FlowState:
     bus_ids: tuple[int, ...]
     branch_ids: tuple[int, ...]
 
-    def flow(self, branch_id: int) -> float:
-        return float(self.flows[self.branch_ids.index(branch_id)])
-
     def max_loaded(self) -> tuple[int, float]:
         """Branch id carrying the largest absolute flow, and that |flow|."""
         i = int(np.argmax(np.abs(self.flows)))
@@ -176,14 +173,10 @@ def _end_diff(ends: tuple[np.ndarray, np.ndarray], X: np.ndarray) -> np.ndarray:
 
     ``ends`` are grounded endpoint rows (``GroundedSystem.branch_ends``);
     the slack's pad index ``X.shape[0]`` reads a zero row. Gathers only: no
-    product, and no padded copy of a matrix ``X``.
+    product, and no padded copy of ``X``.
     """
     frm, to = ends
     n = X.shape[0]
-    if X.ndim == 1:  # padding a vector costs less than masking its gathers
-        padded = np.zeros(n + 1)
-        padded[:n] = X
-        return padded[frm] - padded[to]
     out = np.take(X, frm, axis=0, mode="clip")
     out[frm == n] = 0.0
     sub = np.take(X, to, axis=0, mode="clip")
@@ -257,27 +250,25 @@ class _LowRank:
         entry = self._inv_at
         return (entry(f, f) - entry(t, f)) - (entry(f, t) - entry(t, t))
 
-    def solve(self, rhs: np.ndarray, context: str, s_inv, part=slice(None)) -> np.ndarray:
-        """Solve ``(S^-1 + K) x = rhs`` on the columns ``part`` (all by default).
+    def solve(self, rhs: np.ndarray, context: str, s_inv) -> np.ndarray:
+        """Solve ``(S^-1 + K) x = rhs``.
 
         A singular bracket with ideal closures (``s_inv == 0``) among its
         columns raises DegenerateSwitchError when the closures are redundant;
         otherwise the update islands the grid (IslandingError).
         """
-        K = self.K[part][:, part]
-        scale = max(np.abs(s_inv).max(), np.abs(K).max())
+        scale = max(np.abs(s_inv).max(), np.abs(self.K).max())
         try:
-            return guarded_solve(np.diag(s_inv) + K, rhs, context, scale)
+            return guarded_solve(np.diag(s_inv) + self.K, rhs, context, scale)
         except IslandingError as exc:
-            redundant = self._redundant_closing(self.cols[part][s_inv == 0.0])
+            redundant = self._redundant_closing(self.cols[s_inv == 0.0])
             if redundant is None:
                 raise
             raise redundant from exc
 
-    def updated(self, context: str, s_inv, part=slice(None)) -> np.ndarray:
-        """The updated inverse ``B^-1 - W (S^-1 + K)^-1 W^T`` on the columns ``part``."""
-        W = self.W[:, part]
-        return self.sys.B_inv - W @ self.solve(W.T, context, s_inv, part)
+    def updated(self, context: str, s_inv) -> np.ndarray:
+        """The updated inverse ``B^-1 - W (S^-1 + K)^-1 W^T``."""
+        return self.sys.B_inv - self.W @ self.solve(self.W.T, context, s_inv)
 
     def _redundant_closing(self, closed) -> DegenerateSwitchError | None:
         """Tell a redundant closing apart from islanding: union-find over the

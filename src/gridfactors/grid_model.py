@@ -90,6 +90,10 @@ class Branch:
             raise GridStructureError(
                 f"branch {self.id}: susceptance must be finite and >= 0, got {self.susceptance}"
             )
+        if not math.isfinite(self.shift_angle):
+            raise GridStructureError(
+                f"branch {self.id}: shift_angle must be finite, got {self.shift_angle}"
+            )
         if self.shift_angle != 0.0 and self.kind != PST:
             raise GridStructureError(
                 f"branch {self.id}: shift_angle is only allowed on pst branches"
@@ -550,9 +554,9 @@ class GroundedSystem:
         """Drop the slack entry from a full bus vector."""
         return np.asarray(p_full, dtype=float)[self._non_slack_rows]
 
-    def expand(self, x_reduced: np.ndarray, slack_value: float = 0.0) -> np.ndarray:
-        """Insert the slack entry back into a grounded-coordinate vector."""
-        out = np.full(self.grid.n_buses, float(slack_value))
+    def expand(self, x_reduced: np.ndarray) -> np.ndarray:
+        """Insert the slack entry, zero, back into a grounded-coordinate vector."""
+        out = np.zeros(self.grid.n_buses)
         out[self._non_slack_rows] = x_reduced
         return out
 

@@ -7,9 +7,9 @@ Hager's bracket ``S^-1 + U^T B_r^-1 U`` reduces the new inverse to an
 M x M solve. An ideal switch's change diverges, so its column has
 ``1/s = 0`` and the bracket stays finite. ``woodbury_update`` and
 ``multi_ptdf`` read ``bus_topology.ComposedUpdate``, imported inside them;
-``SwitchKernel`` solves on the closed switches' block of ``K`` (its sweep on
-stacks of such blocks); both run on ``factors_base._LowRank``. Multi-coupler
-splits read the split kernel ``bus_topology._split_kernel`` for M couplers.
+``SwitchKernel`` solves a setting on its closed switches' kernel (its sweep
+on stacked blocks of its own ``K``); both run on ``factors_base._LowRank``.
+Multi-coupler splits read the split kernel ``bus_topology._split_kernel``.
 """
 
 from __future__ import annotations
@@ -101,8 +101,8 @@ class SwitchKernel(_LowRank):
     """Closure kernel ``K = U^T B_r^-1 U`` and its diagonal ``K_d`` for one
     switch list: the endpoint kernel on the switches' incidence columns.
 
-    Built once against the all-open reference and reused across every
-    closed/open setting of the same switches.
+    Built once against the all-open reference; one setting's update runs on
+    the kernel of its closed switches alone, :meth:`sweep` on this one.
     """
 
     def __init__(self, sys: GroundedSystem, switches: Sequence[int]):
@@ -139,7 +139,9 @@ class SwitchKernel(_LowRank):
         closed = np.flatnonzero(self.xi(states))
         if not closed.size:
             return self.sys.B_inv
-        return self.updated("multi-switch merge", np.zeros(closed.size), closed)
+        return _LowRank(self.sys, self.cols[closed]).updated(
+            "multi-switch merge", np.zeros(closed.size)
+        )
 
     def merged_angles(
         self, states: SwitchStates, theta: np.ndarray
@@ -158,9 +160,9 @@ class SwitchKernel(_LowRank):
         y = np.zeros(len(self.switches))
         if not closed.size:
             return theta, y
-        rhs = _end_diff(self.ends, theta)[closed]
-        y[closed] = self.solve(rhs, "multi-switch merge", np.zeros(closed.size), closed)
-        return theta - self.W[:, closed] @ y[closed], y
+        up = _LowRank(self.sys, self.cols[closed])
+        y[closed] = up.solve(_end_diff(up.ends, theta), "multi-switch merge", np.zeros(closed.size))
+        return theta - up.W @ y[closed], y
 
     def sweep(
         self, theta: np.ndarray, f0: np.ndarray, block_bytes: int
@@ -213,30 +215,14 @@ def xi_from_states(sys: GroundedSystem, states: SwitchStates) -> np.ndarray:
     return SwitchKernel(sys, states.switches).xi(states)
 
 
-def multi_merge_inverse(
-    sys: GroundedSystem,
-    states: SwitchStates,
-    kernel: SwitchKernel | None = None,
-) -> np.ndarray:
-    """Inverse with the listed switches closed/open as stated.
-
-    Pass a prebuilt :class:`SwitchKernel` when sweeping many settings of
-    the same switch list; it is built once here otherwise.
-    """
-    if kernel is None:
-        kernel = SwitchKernel(sys, states.switches)
-    return kernel.merged_inverse(states)
+def multi_merge_inverse(sys: GroundedSystem, states: SwitchStates) -> np.ndarray:
+    """Inverse with the listed switches closed/open as stated."""
+    return SwitchKernel(sys, states.switches).merged_inverse(states)
 
 
-def multi_merge_ptdf(
-    sys: GroundedSystem,
-    states: SwitchStates,
-    kernel: SwitchKernel | None = None,
-) -> FactorMatrix:
+def multi_merge_ptdf(sys: GroundedSystem, states: SwitchStates) -> FactorMatrix:
     """PTDF rows of all non-switch branches under the given closures."""
-    return _wrap_ptdf(
-        sys, multi_merge_inverse(sys, states, kernel), sys.b, drop=states.switches
-    )
+    return _wrap_ptdf(sys, multi_merge_inverse(sys, states), sys.b, drop=states.switches)
 
 
 # --- multi-coupler splits -----------------------------------------------------

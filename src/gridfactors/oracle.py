@@ -222,19 +222,25 @@ def random_grid(seed: int, n_buses: int, avg_degree: float = 2.0) -> Grid:
     return Grid(buses=buses, branches=branches)
 
 
-def _median_seconds(run, reps: int) -> float:
-    """Median wall-clock of ``reps`` calls of ``run``, after one untimed call.
+def _median_seconds(paths, reps: int) -> list[float]:
+    """Median wall-clock of ``reps`` calls of each of ``paths``.
 
-    Each path runs in its own loop, so one path's timings do not depend on
-    the state (caches, BLAS worker threads) the other left behind.
+    The paths take turns over up to four rounds, each path in a loop of its
+    own that opens with an untimed call, so one path's timings do not depend
+    on the state (caches, BLAS worker threads) the other left behind, and a
+    slow spell of the machine lands on both paths rather than on one.
     """
-    run()
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        run()
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times))
+    times: list[list[float]] = [[] for _ in paths]
+    rounds = min(reps, 4)
+    for k in range(rounds):
+        share = reps // rounds + (k < reps % rounds)
+        for run, out in zip(paths, times):
+            run()
+            for _ in range(share):
+                t0 = time.perf_counter()
+                run()
+                out.append(time.perf_counter() - t0)
+    return [float(np.median(t)) for t in times]
 
 
 def bench_update_vs_rebuild(
@@ -271,8 +277,7 @@ def bench_update_vs_rebuild(
     def rebuild():
         build_grounded_system(rebuild_grid(grid, deltas=mods.entries))
 
-    med_update = _median_seconds(lambda: woodbury_update(sys, mods), reps)
-    med_rebuild = _median_seconds(rebuild, reps)
+    med_update, med_rebuild = _median_seconds((lambda: woodbury_update(sys, mods), rebuild), reps)
     return {
         "n_buses": n_buses,
         "n_mods": n_mods,

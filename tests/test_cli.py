@@ -376,6 +376,34 @@ def test_non_finite_injection_exit_2(name, text, tmp_path, capsys):
     assert "must be finite" in capsys.readouterr().err
 
 
+def _pst_json(shift):
+    grid = two_bus(p=0.5)
+    pst = replace(grid.branches[0], kind="pst", shift_angle=0.25)
+    return grid_to_json(Grid(grid.buses, (pst,))).replace("0.25", shift, 1)
+
+
+@pytest.mark.parametrize(
+    "name, text, flags, message",
+    [
+        ("shift.m", case6ww_text(), ["--shift", "3=nan"], "branch 3: shift_angle must be finite"),
+        ("shift.m", case6ww_text(), ["--shift", "3=inf"], "branch 3: shift_angle must be finite"),
+        ("shift.json", _pst_json('"NaN"'), [], "branch 1: shift_angle must be finite"),
+        ("base.m", case6ww_text().replace("baseMVA = 100;", "baseMVA = Inf;"), [],
+         "baseMVA must be finite and positive, got inf"),
+        ("base.m", case6ww_text().replace("baseMVA = 100;", "baseMVA = NaN;"), [],
+         "baseMVA must be finite and positive, got nan"),
+    ],
+    ids=["shift-nan", "shift-inf", "json-shift-nan", "base-inf", "base-nan"],
+)
+def test_non_finite_shift_or_base_exit_2(name, text, flags, message, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["flows", str(path), *flags]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def _enumerate_rows(grid, switches, tmp_path, capsys):
     path = tmp_path / "sweep.json"
     path.write_text(grid_to_json(grid))

@@ -75,7 +75,12 @@ def test_two_process_pipe_equals_one_process_text(two_processes):
     matrix = _awkward_matrix()
     read_fd, write_fd = os.pipe()
     got = []
-    reader = threading.Thread(target=lambda: got.append(os.fdopen(read_fd, "rb").read()))
+
+    def read():
+        with os.fdopen(read_fd, "rb") as fh:
+            got.append(fh.read())
+
+    reader = threading.Thread(target=read)
     reader.start()
     with open(write_fd, "w") as sink:
         write_factors(matrix, sink)

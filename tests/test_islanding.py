@@ -1,11 +1,17 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gridfactors import (
+    Grid,
     IslandingError,
     ModificationSet,
     SplitSpec,
+    apply_split,
     build_grounded_system,
+    grid_to_json,
     outage_islands,
     pad_inverse,
     random_grid,
@@ -13,6 +19,7 @@ from gridfactors import (
     traversal_connectivity,
     woodbury_update,
 )
+from gridfactors.cli import main
 
 from conftest import triangle, two_bus
 
@@ -172,3 +179,52 @@ def test_outage_flags_a_bridge_at_24_decades_of_spread():
     sys = build_grounded_system(grid)
     assert outage_islands(sys, 1)[0]
     assert outage_islands(sys, 2)[0]
+
+
+def _seven_decade_split():
+    """``random_grid(375294, 8, 2.4)`` with susceptances spread over seven
+    decades, split at bus 2 so that traversal finds two islands: {1, 3, 5, 9}
+    and {2, 4, 6, 7, 8}."""
+    b = {
+        1: 0.0001163346612314459, 2: 225.07257195369246, 3: 0.10902863248671912,
+        4: 27.945729802767246, 5: 0.3712184314550708, 6: 0.9194254412012106,
+        7: 816.097012660039, 8: 0.14307120102327997, 9: 0.0006511531894644667,
+    }
+    grid = random_grid(375294, 8, 2.4)
+    grid = Grid(grid.buses, tuple(replace(br, susceptance=b[br.id]) for br in grid.branches))
+    split = SplitSpec(
+        parent_bus=2,
+        assignments={1: "new", 2: "new", 4: "new", 9: "new"},
+        injection_to_new=grid.bus(2).injection / 2,
+    )
+    return grid, split
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the split criterion nu^T (B_o - B_o B_c^-1 B_o) nu cancels to about "
+    "3.8e-7 on this islanding split, above its tolerance, so the three-"
+    "configuration route misses it and split_inverse returns entries near "
+    "1e7 (ROADMAP item 2)",
+)
+def test_split_flags_islands_at_seven_decades_of_spread():
+    grid, split = _seven_decade_split()
+    assert len(traversal_connectivity(apply_split(grid, split))) == 2
+    assert split_islands(pad_inverse(build_grounded_system(grid), split))[0]
+
+
+def test_whatif_flags_the_seven_decade_split_as_islanding(tmp_path, capsys):
+    grid, split = _seven_decade_split()
+    path = tmp_path / "grid.json"
+    path.write_text(grid_to_json(grid))
+    doc = {
+        "splits": [
+            {
+                "parent": split.parent_bus,
+                "assignments": {str(k): v for k, v in split.assignments.items()},
+                "injection_to_new": split.injection_to_new,
+            }
+        ]
+    }
+    assert main(["whatif", str(path), "--mods", json.dumps(doc)]) == 4
+    assert "islands" in capsys.readouterr().err
