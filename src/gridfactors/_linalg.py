@@ -10,7 +10,11 @@ from .errors import IslandingError
 PIVOT_RTOL = 1e-10
 
 #: relative tolerance of the outage islanding zero test on ``1 - b_e t_e``,
-#: scaled by the transfer term ``b_e t_e``
+#: scaled by the transfer term ``b_e t_e``. Looser than ``PIVOT_RTOL``: the
+#: criterion is a difference of inverse entries, not a pivot. On random grids
+#: with log-uniform susceptances a bridge's criterion reached 1e-11 to 5e-11
+#: at six decades of spread and 2e-9 at eight, where a 1e-10 threshold missed
+#: 13 to 33 bridges in 150 grids and this one missed none
 OUTAGE_RTOL = 1e-8
 
 #: lowest susceptance a branch may be left with after a change: anything

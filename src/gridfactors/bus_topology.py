@@ -6,14 +6,15 @@ a column with ``1/s = 0`` of the endpoint kernel ``factors_base._LowRank``
 one switch). Opening a busbar coupler (a bus split) is handled through
 three configurations: the merged reference, a padded "closed but not
 merged" inverse obtained by copying the parent row and column, and the
-open topology. The split inverse then follows from a closed-form
-expression that never references the diverging coupler susceptance. The
-split kernel :func:`_split_kernel` forms its pieces; ``split_criterion``,
-``split_inverse``, ``bsdf_vector``, ``split_ptdf`` and ``lodf_after_split``
-are its M = 1 readers. :class:`ComposedUpdate` rewires moved branches onto
-idle buses instead, so a whole modification set (deltas, closures and
-splits) is one endpoint-kernel update; ``idle_bus_split`` is its
-splits-only reader and the cross-check of the split kernel.
+open topology. The split inverse then follows from a closed-form expression
+that never references the diverging coupler susceptance. The split kernel
+:func:`_split_kernel` is ``_LowRank`` on the open grid's branches at the
+split buses, with one zero test; ``split_criterion``, ``split_inverse``,
+``bsdf_vector``, ``split_ptdf`` and ``lodf_after_split`` are its M = 1
+readers. :class:`ComposedUpdate` rewires moved branches onto idle buses
+instead, so a whole modification set (deltas, closures and splits) is one
+endpoint-kernel update; ``idle_bus_split`` is its splits-only reader and
+the cross-check of the split kernel.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import GridStructureError, IslandingError
+from ._linalg import PIVOT_RTOL, guarded_solve
+from .errors import GridStructureError
 from .factors_base import (
     FactorMatrix,
     _LowRank,
@@ -45,6 +47,7 @@ from .grid_model import (
     _grounded_laplacian,
     _incidence,
     _Lazy,
+    _system,
     system_from_inverse,
 )
 from .multi_mod import SwitchKernel, SwitchStates
@@ -52,10 +55,6 @@ from .single_mod import BranchDelta, _check_delta, lodf_column
 
 PARENT = "parent"
 NEW = "new"
-
-#: factor on ||B_o||_inf * ||nu||^2 below which the split criterion counts as zero
-SPLIT_RTOL = 1e-10
-
 
 @dataclass(frozen=True)
 class SplitSpec:
@@ -173,8 +172,8 @@ class TriConfig:
     its grounded branch endpoint rows (the slack on the pad index ``n_o``);
     ``B_c_inv`` the padded inverse whose parent and new rows/columns are
     identical copies; ``U`` stacks the coupler incidence vectors, one column
-    per split. The open grid's incidence ``E_o_r`` and grounded matrix
-    ``B_o`` are built on first read.
+    per split. The open grid's incidence ``E_o_r``, grounded matrix ``B_o``
+    and system ``sys_c`` on ``B_c_inv`` are built on first read.
     """
 
     grid_o: Grid
@@ -186,6 +185,9 @@ class TriConfig:
     b_o: np.ndarray
     B_o: np.ndarray = _Lazy(lambda t: _grounded_laplacian(t.ends_o, t.b_o, len(t.bus_ids_o)))
     B_c_inv: np.ndarray
+    sys_c: GroundedSystem = _Lazy(
+        lambda t: _system(t.grid_o, (t.index_map_o, t.ends_o), t.B_c_inv)
+    )
     U: np.ndarray
 
     @property
@@ -272,47 +274,42 @@ def pad_inverse(
         b_o=b_o,
         B_o=None,
         B_c_inv=B_c_inv,
+        sys_c=None,
         U=U,
     )
 
 
-def _split_kernel(tri: TriConfig) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-    """Split pieces of every coupler: ``(GU, inner, scale, tol)``.
+def _split_kernel(tri: TriConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split pieces of every coupler: ``(GU, inner, scale)``.
 
-    ``GU = U - B_c^-1 B_o U``, ``inner = (B_o U)^T GU = U^T (B_o - B_o B_c^-1
-    B_o) U``, ``scale = max |U^T B_o U|`` and ``tol = SPLIT_RTOL
-    ||B_o||_inf ||nu||^2``, the zero tolerance of each criterion
-    ``inner[k, k]``. ``B_o U`` is scattered from ``ends_o`` (branch ``e``
-    adds ``b_e (U[from e] - U[to e])`` to its from row and subtracts it at
-    its to row), so only its nonzero rows, the split buses and their
-    neighbours, read ``B_c^-1``. Row ``i`` of ``|B_o|`` sums each ``b_e`` at ``i``
-    twice: on the diagonal, and off it unless the other end is the slack.
+    ``B_o U = E (b o H)`` with ``H = E^T U`` on the open grid's branches at
+    the split buses, so ``_LowRank`` on them over ``B_c^-1`` gives ``GU =
+    U - B_c^-1 B_o U = U - W (b o H)`` and ``inner = U^T (B_o - B_o B_c^-1
+    B_o) U = (b o H)^T (H - K (b o H))``. ``scale[k] = ||B_o||_inf
+    ||nu_k||^2``: row ``i`` of ``|B_o|`` sums each ``b_e`` at ``i`` twice
+    (on the diagonal, and off it unless the other end is the slack).
     """
+    H = _end_diff(tri.ends_o, tri.U)
+    at = np.flatnonzero(H.any(axis=1))
+    up = _LowRank(tri.sys_c, at)
+    bH = tri.b_o[at, None] * H[at]
+    GU = tri.U - up.W @ bH
+    inner = bH.T @ (H[at] - up.K @ bH)
     frm, to = tri.ends_o
     n_o = len(tri.bus_ids_o)
-    flow = tri.b_o[:, None] * _end_diff(tri.ends_o, tri.U)
-    BoU = np.zeros((n_o + 1, tri.n_splits))
-    np.add.at(BoU, frm, flow)
-    np.add.at(BoU, to, -flow)
-    rows = np.flatnonzero(BoU[:n_o].any(axis=1))
-    GU = tri.U - tri.B_c_inv[:, rows] @ BoU[rows]
-    inner = BoU[rows].T @ GU[rows]
-    both = (frm < n_o) & (to < n_o)
-    ends = np.concatenate([frm, to, frm[both], to[both]])
-    weights = np.concatenate([tri.b_o, tri.b_o, tri.b_o[both], tri.b_o[both]])
-    norm_inf = np.bincount(ends, weights, minlength=n_o + 1)[:n_o].max()
-    scale = np.abs(tri.U.T @ BoU[:n_o]).max()
-    return GU, inner, scale, SPLIT_RTOL * norm_inf * (tri.U * tri.U).sum(axis=0)
+    w = tri.b_o * (1.0 + ((frm < n_o) & (to < n_o)))
+    norm_inf = np.bincount(np.r_[frm, to], np.r_[w, w], minlength=n_o + 1)[:n_o].max()
+    return GU, inner, norm_inf * (tri.U * tri.U).sum(axis=0)
 
 
 def split_criterion(tri: TriConfig, which: int = 0) -> tuple[float, float]:
     """Islanding indicator ``nu^T (B_o - B_o B_c^-1 B_o) nu`` and its tolerance.
 
     The opening islands the grid exactly when the indicator vanishes; the
-    tolerance scales with ``||B_o||_inf ||nu||^2``.
+    tolerance is ``PIVOT_RTOL ||B_o||_inf ||nu||^2``, the split routes' rule.
     """
-    _, inner, _, tol = _split_kernel(tri)
-    return float(inner[which, which]), float(tol[which])
+    _, inner, scale = _split_kernel(tri)
+    return float(inner[which, which]), PIVOT_RTOL * float(scale[which])
 
 
 def _single_split_pieces(tri: TriConfig) -> tuple[np.ndarray, float]:
@@ -322,14 +319,9 @@ def _single_split_pieces(tri: TriConfig) -> tuple[np.ndarray, float]:
             "single-coupler route needs exactly one split; "
             "use multi_mod.multi_split_inverse for several"
         )
-    GU, inner, _, tol = _split_kernel(tri)
-    s_val = float(inner[0, 0])
-    if abs(s_val) <= tol[0]:
-        raise IslandingError(
-            f"opening the busbar coupler islands the grid (criterion {s_val:.3g})",
-            criterion=s_val,
-        )
-    return GU[:, 0], s_val
+    GU, inner, scale = _split_kernel(tri)
+    guarded_solve(inner, np.ones(1), "opening the busbar coupler", scale[0])  # the zero test
+    return GU[:, 0], float(inner[0, 0])
 
 
 def split_inverse(tri: TriConfig) -> np.ndarray:

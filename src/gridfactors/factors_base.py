@@ -11,7 +11,8 @@ low-rank kernel, :class:`_LowRank`, with one bracket ``S^-1 + K`` (``1/s =
 0`` for an ideal closure). ``updated_inverse`` and ``lcdf_column`` read it
 for one branch; ``SwitchKernel``, ``outage_factors`` (``K_d`` and its gathers only)
 and ``bus_topology.ComposedUpdate`` (a whole modification set) for M
-branches. Bus splits also run on ``bus_topology._split_kernel``.
+branches, and ``bus_topology._split_kernel`` for the branches at the
+split buses of a bus split.
 """
 
 from __future__ import annotations

@@ -3,9 +3,10 @@ traversal oracle.
 
 Removing a branch multiplies the determinant of the grounded matrix by
 ``1 - b_e nu_e^T B^-1 nu_e``, so a vanishing factor flags a bridge. The
-analogous split criterion is ``nu_s^T (B_o - B_o B_c^-1 B_o) nu_s``. The
-algebraic tests are the fast production path; graph traversal is the exact
-cross-check and provides the component membership.
+analogous split criterion is ``nu_s^T (B_o - B_o B_c^-1 B_o) nu_s``, judged
+by the rule the split routes raise on. The algebraic tests are the fast
+production path; graph traversal is the exact cross-check and provides the
+component membership.
 """
 
 from __future__ import annotations

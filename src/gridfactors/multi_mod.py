@@ -9,7 +9,8 @@ M x M solve. An ideal switch's change diverges, so its column has
 ``multi_ptdf`` read ``bus_topology.ComposedUpdate``, imported inside them;
 ``SwitchKernel`` solves a setting on its closed switches' kernel (its sweep
 on stacked blocks of its own ``K``); both run on ``factors_base._LowRank``.
-Multi-coupler splits read the split kernel ``bus_topology._split_kernel``.
+Multi-coupler splits read the split kernel ``bus_topology._split_kernel``,
+``_LowRank`` on the branches at the split buses.
 """
 
 from __future__ import annotations
@@ -236,6 +237,6 @@ def multi_split_inverse(tri: TriConfig) -> np.ndarray:
     """
     from .bus_topology import _split_kernel
 
-    GU, inner, scale, _ = _split_kernel(tri)
-    X = guarded_solve(inner, GU.T, context="multi-coupler bus split", scale=scale)
+    GU, inner, scale = _split_kernel(tri)
+    X = guarded_solve(inner, GU.T, context="multi-coupler bus split", scale=scale.max())
     return tri.B_c_inv + GU @ X

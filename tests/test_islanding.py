@@ -164,7 +164,7 @@ def test_case6ww_bus1_isolated_by_removing_incident_branches(ww_grid):
     strict=True,
     reason="the outage criterion 1 - b t is formed from entries of B^-1 by "
     "subtraction, so a bridge can be missed beyond about 20 decades of "
-    "susceptance spread in one grid (ROADMAP item 4)",
+    "susceptance spread in one grid (ROADMAP item 2)",
 )
 def test_outage_flags_a_bridge_at_24_decades_of_spread():
     # slack -(1e-12)- bus 2 -(1e12)- bus 3: both lines are bridges. B^-1 at
@@ -200,13 +200,6 @@ def _seven_decade_split():
     return grid, split
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the split criterion nu^T (B_o - B_o B_c^-1 B_o) nu cancels to about "
-    "3.8e-7 on this islanding split, above its tolerance, so the three-"
-    "configuration route misses it and split_inverse returns entries near "
-    "1e7 (ROADMAP item 2)",
-)
 def test_split_flags_islands_at_seven_decades_of_spread():
     grid, split = _seven_decade_split()
     assert len(traversal_connectivity(apply_split(grid, split))) == 2
@@ -228,3 +221,79 @@ def test_whatif_flags_the_seven_decade_split_as_islanding(tmp_path, capsys):
     }
     assert main(["whatif", str(path), "--mods", json.dumps(doc)]) == 4
     assert "islands" in capsys.readouterr().err
+
+
+def _isolating_split():
+    """``random_grid(66973, 5, 2.4)`` with susceptances over seven decades,
+    every branch but the one to the slack moved off bus 2: traversal finds
+    {2} cut off."""
+    b = {
+        1: 0.001564690859, 2: 0.002040075789, 3: 0.910379595967,
+        4: 0.000330081613, 5: 8783.942783633467, 6: 331.492897334651,
+    }
+    grid = random_grid(66973, 5, 2.4)
+    grid = Grid(grid.buses, tuple(replace(br, susceptance=b[br.id]) for br in grid.branches))
+    split = SplitSpec(
+        parent_bus=2,
+        assignments={i: "new" for i in (1, 2, 3, 5, 6)},
+        injection_to_new=grid.bus(2).injection / 2,
+    )
+    return grid, split
+
+
+def test_isolating_split_raises_on_every_route():
+    # split_inverse and multi_split_inverse once judged this split on two
+    # different scales: one raised, the other returned entries near 1e6
+    from gridfactors import multi_split_inverse, split_inverse
+
+    grid, split = _isolating_split()
+    assert {2} in traversal_connectivity(apply_split(grid, split))
+    tri = pad_inverse(build_grounded_system(grid), split)
+    assert split_islands(tri)[0]
+    with pytest.raises(IslandingError):
+        split_inverse(tri)
+    with pytest.raises(IslandingError):
+        multi_split_inverse(tri)
+
+
+def _raises(route, tri):
+    try:
+        route(tri)
+    except IslandingError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("decades", [8, 10])
+def test_split_routes_agree_on_islanding(decades):
+    # one zero test behind every one-coupler route, at spreads where the
+    # criterion itself may already be wrong
+    from gridfactors import multi_split_inverse, split_inverse
+
+    rng = np.random.default_rng(decades)
+    disagreements = []
+    for seed in range(100):
+        grid = random_grid(seed, int(rng.integers(6, 25)), 2.4)
+        b = 10.0 ** (decades * rng.uniform(size=grid.n_branches))
+        grid = Grid(grid.buses, tuple(
+            replace(br, susceptance=float(x)) for br, x in zip(grid.branches, b)
+        ))
+        parent = int(rng.choice([
+            bus.id for bus in grid.buses if len(grid.branches_at(bus.id)) >= 2
+        ]))
+        incident = [br.id for br in grid.branches_at(parent)]
+        moved = rng.permutation(incident)[: rng.integers(1, len(incident))]
+        split = SplitSpec(
+            parent_bus=parent,
+            assignments={int(i): "new" for i in moved},
+            injection_to_new=grid.bus(parent).injection / 2,
+        )
+        tri = pad_inverse(build_grounded_system(grid), split)
+        flags = (
+            split_islands(tri)[0],
+            _raises(split_inverse, tri),
+            _raises(multi_split_inverse, tri),
+        )
+        if len(set(flags)) > 1:
+            disagreements.append((seed, parent, flags))
+    assert disagreements == []
