@@ -20,6 +20,7 @@ the cross-check of the split kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -46,7 +47,6 @@ from .grid_model import (
     _grounded_coords,
     _grounded_laplacian,
     _incidence,
-    _Lazy,
     _system,
     system_from_inverse,
 )
@@ -168,27 +168,29 @@ def switch_flow(sys: GroundedSystem, switch: int, p: np.ndarray | None = None) -
 class TriConfig:
     """The three grid configurations of a bus split, plus bookkeeping.
 
-    ``grid_o`` is the open topology with the new buses appended; ``ends_o``
-    its grounded branch endpoint rows (the slack on the pad index ``n_o``);
-    ``B_c_inv`` the padded inverse whose parent and new rows/columns are
-    identical copies; ``U`` stacks the coupler incidence vectors, one column
-    per split. The open grid's incidence ``E_o_r``, grounded matrix ``B_o``
-    and system ``sys_c`` on ``B_c_inv`` are built on first read.
+    ``grid_o`` is the open topology with the new buses appended; ``sys_c``
+    its grounded system on the padded inverse, whose parent and new
+    rows/columns are identical copies; ``U`` stacks the coupler incidence
+    vectors, one column per split. ``sys_c`` is the one stored record of
+    the open grid: ``bus_ids_o``, ``index_map_o``, ``ends_o`` (the slack on
+    the pad index ``n_o``), ``b_o`` and ``B_c_inv`` are read from it. The
+    open grid's incidence ``E_o_r`` and grounded matrix ``B_o`` are built
+    on first read.
     """
 
     grid_o: Grid
     splits: tuple[_ResolvedSplit, ...]
-    bus_ids_o: tuple[int, ...]
-    index_map_o: dict[int, int]
-    ends_o: tuple[np.ndarray, np.ndarray]
-    E_o_r: np.ndarray = _Lazy(lambda t: _incidence(t.ends_o, len(t.bus_ids_o)))
-    b_o: np.ndarray
-    B_o: np.ndarray = _Lazy(lambda t: _grounded_laplacian(t.ends_o, t.b_o, len(t.bus_ids_o)))
-    B_c_inv: np.ndarray
-    sys_c: GroundedSystem = _Lazy(
-        lambda t: _system(t.grid_o, (t.index_map_o, t.ends_o), t.B_c_inv)
-    )
+    sys_c: GroundedSystem
     U: np.ndarray
+
+    bus_ids_o = property(lambda t: t.sys_c.bus_ids)
+    index_map_o = property(lambda t: t.sys_c.index_map)
+    ends_o = property(lambda t: t.sys_c.branch_ends)
+    b_o = property(lambda t: t.sys_c.b)
+    B_c_inv = property(lambda t: t.sys_c.B_inv)
+
+    E_o_r = cached_property(lambda t: _incidence(t.ends_o, len(t.bus_ids_o)))
+    B_o = cached_property(lambda t: _grounded_laplacian(t.ends_o, t.b_o, len(t.bus_ids_o)))
 
     @property
     def n_splits(self) -> int:
@@ -233,50 +235,29 @@ def pad_inverse(
 ) -> TriConfig:
     """Build the closed-but-not-merged inverse by row/column padding.
 
-    Each new bus receives a copy of its parent's row and column of the
-    merged inverse (zeros when the parent is the slack); injections move
-    according to the split specification.
+    The base buses keep their grounded rows and the new buses follow in
+    split order, so the merged inverse is copied as one block; each new bus
+    then receives a copy of its parent's row and column (zeros when the
+    parent is the slack; a parent that is an earlier new bus already has
+    its row). Injections move according to the split specification.
     """
     grid_o, resolved = _apply_splits(sys.grid, splits)
     if not resolved:
         raise GridStructureError("at least one split is required")
-    origin = {r.new_bus: r.parent for r in resolved}  # new bus -> parent at its split
-
-    bus_ids_o = grid_o.grounded_bus_ids
-    n_o = len(bus_ids_o)
     index_map_o, ends_o = _grounded_coords(grid_o)
-    b_o = grid_o.susceptances()
-
-    def merged_row(bus_id: int) -> int | None:
-        while bus_id in origin:
-            bus_id = origin[bus_id]
-        return sys.index_map.get(bus_id)  # None when the origin is the slack
-
-    rows = [merged_row(bid) for bid in bus_ids_o]
+    n, n_o = sys.n, len(index_map_o)
     B_c_inv = np.zeros((n_o, n_o))
-    present = [i for i, r in enumerate(rows) if r is not None]
-    src = [rows[i] for i in present]
-    B_c_inv[np.ix_(present, present)] = sys.B_inv[np.ix_(src, src)]
-
+    B_c_inv[:n, :n] = sys.B_inv
     U = np.zeros((n_o, len(resolved)))
     for k, r in enumerate(resolved):
+        U[n + k, k] = -1.0
         if r.parent in index_map_o:
-            U[index_map_o[r.parent], k] = 1.0
-        U[index_map_o[r.new_bus], k] = -1.0
-
-    return TriConfig(
-        grid_o=grid_o,
-        splits=tuple(resolved),
-        bus_ids_o=bus_ids_o,
-        index_map_o=index_map_o,
-        ends_o=ends_o,
-        E_o_r=None,
-        b_o=b_o,
-        B_o=None,
-        B_c_inv=B_c_inv,
-        sys_c=None,
-        U=U,
-    )
+            p = index_map_o[r.parent]
+            U[p, k] = 1.0
+            B_c_inv[n + k] = B_c_inv[p]
+            B_c_inv[:, n + k] = B_c_inv[:, p]
+    sys_c = _system(grid_o, (index_map_o, ends_o), B_c_inv)
+    return TriConfig(grid_o=grid_o, splits=tuple(resolved), sys_c=sys_c, U=U)
 
 
 def _split_kernel(tri: TriConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -344,12 +325,13 @@ def bsdf_vector(tri: TriConfig) -> np.ndarray:
 def split_ptdf(tri: TriConfig) -> FactorMatrix:
     """PTDF of the open grid, read off the split inverse: the padded PTDF
     plus the outer product of the bsdf vector with ``(1 - B_c^-1 B_o) nu``."""
-    return ptdf_matrix(system_from_inverse(tri.grid_o, split_inverse(tri)))
+    return ptdf_matrix(_system(tri.grid_o, (tri.index_map_o, tri.ends_o), split_inverse(tri)))
 
 
 def lodf_after_split(tri: TriConfig, branch: int) -> np.ndarray:
     """LODF column in the open grid: :func:`lodf_column` on the split inverse."""
-    return lodf_column(system_from_inverse(tri.grid_o, split_inverse(tri)), branch)
+    sys_o = _system(tri.grid_o, (tri.index_map_o, tri.ends_o), split_inverse(tri))
+    return lodf_column(sys_o, branch)
 
 
 # --- a modification set on the idle-bus reference -----------------------------

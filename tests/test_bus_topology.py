@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,91 @@ def test_pad_then_unpad_round_trip(ww_sys):
     )
     assert tri.B_c_inv.shape[0] == ww_sys.B_inv.shape[0] + 1
     assert tri.B_o.shape == tri.B_c_inv.shape
+
+
+def _origin_chain_pad(sys, tri):
+    """Reference padding: each open-grid bus reads the merged row and column
+    of the base bus its split chain started from (zeros for the slack)."""
+    origin = {r.new_bus: r.parent for r in tri.splits}
+
+    def merged_row(bus_id):
+        while bus_id in origin:
+            bus_id = origin[bus_id]
+        return sys.index_map.get(bus_id)
+
+    rows = [merged_row(bid) for bid in tri.bus_ids_o]
+    pad = np.zeros((len(rows), len(rows)))
+    present = [i for i, r in enumerate(rows) if r is not None]
+    src = [rows[i] for i in present]
+    pad[np.ix_(present, present)] = sys.B_inv[np.ix_(src, src)]
+    return pad
+
+
+def test_pad_matches_origin_chain_gather():
+    # each list splits a bus elsewhere, the slack, and the new bus of the
+    # split elsewhere (and that split's new bus in turn in some lists)
+    orders = (
+        ("else", "chain", "slack"),
+        ("else", "slack", "chain"),
+        ("slack", "else", "chain"),
+        ("else", "chain", "chain", "slack"),
+    )
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        grid = random_grid(seed, int(rng.integers(8, 30)), 3.0)
+        sys = build_grounded_system(grid)
+        g, splits, last_new = grid, [], None
+        for kind in orders[seed % len(orders)]:
+            if kind == "slack":
+                parent = grid.slack
+            elif kind == "chain":
+                parent = last_new
+            else:
+                parent = int(rng.choice([b for b in grid.bus_ids if b != grid.slack]))
+            incident = [br.id for br in g.branches_at(parent)]
+            take = rng.random(len(incident)) < 0.5
+            split = SplitSpec(
+                parent_bus=parent,
+                assignments={i: "new" for i, t in zip(incident, take) if t},
+                injection_to_new=float(rng.uniform()) * g.bus(parent).injection,
+            )
+            splits.append(split)
+            g = apply_split(g, split)
+            if kind != "slack":
+                last_new = max(g.bus_ids)
+        tri = pad_inverse(sys, splits)
+        assert tri.B_c_inv is tri.sys_c.B_inv
+        assert np.array_equal(tri.B_c_inv, _origin_chain_pad(sys, tri))
+        for k, r in enumerate(tri.splits):
+            nu = np.zeros(len(tri.bus_ids_o))
+            if r.parent != grid.slack:
+                nu[tri.index_map_o[r.parent]] = 1.0
+            nu[tri.index_map_o[r.new_bus]] = -1.0
+            assert np.array_equal(tri.U[:, k], nu)
+
+
+def test_pad_inverse_memory_is_one_padded_copy():
+    grid = random_grid(3, 400, 3.0)
+    sys = build_grounded_system(grid)
+    parent = max(
+        (b.id for b in grid.buses if not b.is_slack),
+        key=lambda bid: len(grid.branches_at(bid)),
+    )
+    incident = [br.id for br in grid.branches_at(parent)]
+    split = SplitSpec(
+        parent_bus=parent,
+        assignments={i: "new" for i in incident[::2]},
+        injection_to_new=0.5 * grid.bus(parent).injection,
+    )
+    pad_inverse(sys, split)  # warm-up: the base grid caches its lookups on first use
+    tracemalloc.start()
+    try:
+        tri = pad_inverse(sys, split)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n_o = len(tri.bus_ids_o)
+    assert peak <= 1.25 * 8 * n_o**2, peak / (8 * n_o**2)
 
 
 def test_split_requires_explicit_injection_assignment(ww_sys):
