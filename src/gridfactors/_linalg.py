@@ -9,16 +9,8 @@ from .errors import IslandingError
 #: smallest acceptable LU pivot, relative to the natural scale of the system
 PIVOT_RTOL = 1e-10
 
-#: relative tolerance of the outage islanding zero test on ``1 - b_e t_e``,
-#: scaled by the transfer term ``b_e t_e``. Looser than ``PIVOT_RTOL``: the
-#: criterion is a difference of inverse entries, not a pivot. On random grids
-#: with log-uniform susceptances a bridge's criterion reached 1e-11 to 5e-11
-#: at six decades of spread and 2e-9 at eight, where a 1e-10 threshold missed
-#: 13 to 33 bridges in 150 grids and this one missed none
-OUTAGE_RTOL = 1e-8
-
-#: lowest susceptance a branch may be left with after a change: anything
-#: above it (the roundoff of an exact outage ``b + (-b)``) counts as >= 0
+#: lowest susceptance a branch may be left with after a change, relative to its
+#: own ``b``: above it (the roundoff of an exact outage ``b + (-b)``) counts as >= 0
 SUSCEPTANCE_FLOOR = -1e-12
 
 
@@ -50,7 +42,8 @@ def _lu_pivots(M: np.ndarray) -> np.ndarray:
 def guarded_solve(
     M: np.ndarray, rhs: np.ndarray, context: str, scale: float = 0.0
 ) -> np.ndarray:
-    """Solve ``M x = rhs`` and raise IslandingError when M is near singular.
+    """Solve ``M x = rhs`` and raise IslandingError when M is near singular:
+    a conditioning guard, as callers decide islanding by graph structure first.
 
     Singularity is judged against the larger of the LU pivots and ``scale``,
     the magnitude of the terms that produced ``M``. The scale matters when a
@@ -69,7 +62,8 @@ def guarded_solve(
     if diag.min() <= PIVOT_RTOL * scale:
         raise IslandingError(
             f"{context}: update matrix is singular (smallest pivot "
-            f"{diag.min():.3g} at scale {scale:.3g})",
+            f"{diag.min():.3g} at scale {scale:.3g}); the grid stays connected, "
+            "so the update is ill-conditioned",
             criterion=float(diag.min()),
         )
     return np.linalg.solve(M, rhs)

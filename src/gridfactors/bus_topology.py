@@ -9,7 +9,7 @@ merged" inverse obtained by copying the parent row and column, and the
 open topology. The split inverse then follows from a closed-form expression
 that never references the diverging coupler susceptance. The split kernel
 :func:`_split_kernel` is ``_LowRank`` on the open grid's branches at the
-split buses, with one zero test; ``split_criterion``, ``split_inverse``,
+split buses; ``split_criterion``, ``split_inverse``,
 ``bsdf_vector``, ``split_ptdf`` and ``lodf_after_split`` are its M = 1
 readers. :class:`ComposedUpdate` rewires moved branches onto idle buses
 instead, so a whole modification set (deltas, closures and splits) is one
@@ -47,6 +47,7 @@ from .grid_model import (
     _grounded_coords,
     _grounded_laplacian,
     _incidence,
+    _require_connected,
     _system,
     system_from_inverse,
 )
@@ -106,7 +107,7 @@ def _resolve_split(grid: Grid, split: SplitSpec) -> _ResolvedSplit:
         raise GridStructureError(f"new bus id {new_bus} already exists")
     parent_injection = grid.bus(split.parent_bus).injection
     if split.injection_to_new is None:
-        if abs(parent_injection) > 1e-9:
+        if abs(parent_injection) > 1e-9 * max(abs(b.injection) for b in grid.buses):
             raise GridStructureError(
                 f"bus {split.parent_bus} carries injection {parent_injection:.6g}; "
                 "the split must state injection_to_new explicitly"
@@ -126,8 +127,7 @@ def apply_split(grid: Grid, split: SplitSpec) -> Grid:
     """Grid with the split applied: branches rewired, injection divided.
 
     The new bus is appended to the bus list; branch order is preserved.
-    The result may be disconnected, which the factor routes detect through
-    their islanding criteria.
+    The result may be disconnected, which the factor routes detect.
     """
     return _apply_splits(grid, split)[0]
 
@@ -287,7 +287,7 @@ def split_criterion(tri: TriConfig, which: int = 0) -> tuple[float, float]:
     """Islanding indicator ``nu^T (B_o - B_o B_c^-1 B_o) nu`` and its tolerance.
 
     The opening islands the grid exactly when the indicator vanishes; the
-    tolerance is ``PIVOT_RTOL ||B_o||_inf ||nu||^2``, the split routes' rule.
+    tolerance is ``PIVOT_RTOL ||B_o||_inf ||nu||^2``, the split routes' guard.
     """
     _, inner, scale = _split_kernel(tri)
     return float(inner[which, which]), PIVOT_RTOL * float(scale[which])
@@ -300,8 +300,9 @@ def _single_split_pieces(tri: TriConfig) -> tuple[np.ndarray, float]:
             "single-coupler route needs exactly one split; "
             "use multi_mod.multi_split_inverse for several"
         )
+    _require_connected(tri.grid_o, what="split grid")
     GU, inner, scale = _split_kernel(tri)
-    guarded_solve(inner, np.ones(1), "opening the busbar coupler", scale[0])  # the zero test
+    guarded_solve(inner, np.ones(1), "opening the busbar coupler", scale[0])  # conditioning
     return GU[:, 0], float(inner[0, 0])
 
 
@@ -349,8 +350,8 @@ class ComposedUpdate:
     ends; each tie's removal, which cancels ``grounding_b``.
 
     ``grid`` is the final grid (switches keep their kind); ``switches`` maps
-    switch ids to closed flags. A singular bracket raises
-    DegenerateSwitchError for a redundant closing, IslandingError otherwise.
+    switch ids to closed flags (``closed`` lists the closed ones). A redundant
+    closing raises DegenerateSwitchError, a disconnected final grid IslandingError.
     """
 
     def __init__(
@@ -385,6 +386,7 @@ class ComposedUpdate:
             cols.append(e)
             s_inv.append(1.0 / s)
 
+        self.closed = tuple(grid.branches[e].id for e, c in closing.items() if c)
         self.switch_cols = []  # (branch, column) per closed switch
         rewired = {grid.branch_index[b] for r in resolved for b in r.moved}
         for e in sorted(rewired | closing.keys() | {grid.branch_index[b] for b in deltas}):
@@ -410,6 +412,11 @@ class ComposedUpdate:
         self.up = _LowRank(sys, cols) if cols else None
         self.s_inv = np.array(s_inv)
 
+    def _check(self) -> None:
+        if self.up is not None:
+            self.up.check_closings(self.s_inv)
+        _require_connected(self.grid, closed=self.closed, what="modified grid")
+
     def flows(self) -> np.ndarray:
         """Branch flows of the final grid for its own injections and shifts.
 
@@ -417,6 +424,7 @@ class ComposedUpdate:
         ``z`` is the flow over each column's added branch, so a closed
         switch carries its ``z``.
         """
+        self._check()
         grid, ref = self.grid, self.ref
         shifts = grid.shift_angles()
         theta = ref.B_inv @ ref.reduce(_shifted_injections(grid, grid.injections(), shifts))
@@ -432,6 +440,7 @@ class ComposedUpdate:
 
     def inverse(self) -> np.ndarray:
         """The final grid's grounded inverse, ``B_r^-1 - W (S^-1 + K)^-1 W^T``."""
+        self._check()
         if self.up is None:
             return self.ref.B_inv
         return self.up.updated("modification set", self.s_inv)

@@ -2,9 +2,9 @@
 screening and the update-versus-rebuild benchmark.
 
 Exit codes: 0 success, 2 unreadable input, 3 disconnected base grid,
-4 modification islands the grid, 1 other errors. Matpower-derived flows
-are reported in MW (per-unit values scaled by the case base); native JSON
-grids are reported as-is.
+4 modification islands the grid, 1 other errors (an ill-conditioned update
+among them). Matpower-derived flows are reported in MW (per-unit values
+scaled by the case base); native JSON grids are reported as-is.
 """
 
 from __future__ import annotations
@@ -224,7 +224,7 @@ def apply_modifications(grid: Grid, doc: dict, sys: GroundedSystem | None = None
     built it; otherwise it is built here.
     """
     up = _composed_update(doc, sys or build_grounded_system(grid))
-    return up.grid, system_from_inverse(up.grid, up.inverse())
+    return up.grid, system_from_inverse(up.grid, up.inverse(), up.closed)
 
 
 def cmd_whatif(args) -> int:
@@ -255,9 +255,9 @@ def cmd_whatif(args) -> int:
     try:
         flows_out = up.flows()
     except IslandingError as exc:
+        if exc.components is None:  # a connected grid's ill-conditioned update
+            raise
         print(f"modification islands the grid: {exc}", file=_sys.stderr)
-        if exc.criterion is not None:
-            print(f"criterion value: {exc.criterion:.6g}", file=_sys.stderr)
         return EXIT_ISLANDS
     grid_m = up.grid
     pre_by_id = dict(zip(grid.branch_ids, pre.flows))
@@ -289,6 +289,8 @@ def cmd_n1(args) -> int:
         try:
             grid, sys = apply_modifications(grid, doc)
         except IslandingError as exc:
+            if exc.components is None:
+                raise
             print(f"pre-modification islands the grid: {exc}", file=_sys.stderr)
             return EXIT_ISLANDS
     else:
@@ -427,7 +429,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except IslandingError as exc:
         print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_DISCONNECTED
+        return EXIT_DISCONNECTED if exc.components is not None else EXIT_ERROR
     except DegenerateSwitchError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_ERROR

@@ -27,12 +27,9 @@ class CaseConversionError(GridFactorsError, ValueError):
 
 
 class IslandingError(GridFactorsError):
-    """The grid (or a requested modification of it) is disconnected.
-
-    ``criterion`` holds the algebraic islanding indicator when the error was
-    detected algebraically; ``components`` holds the bus partition when it
-    was detected by traversal.
-    """
+    """The grid (or a modification of it) is disconnected: ``components`` holds
+    the partition found by traversal. Without it, a numerical guard refused an
+    ill-conditioned update of a connected grid; ``criterion`` holds the value."""
 
     def __init__(self, message, criterion=None, components=None):
         super().__init__(message)

@@ -24,8 +24,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._linalg import guarded_solve
-from .errors import DegenerateSwitchError, GridStructureError, IslandingError
-from .grid_model import PST, Grid, GroundedSystem
+from .errors import DegenerateSwitchError, GridStructureError
+from .grid_model import PST, Grid, GroundedSystem, _walk
 
 PTDF = "PTDF"
 PSDF = "PSDF"
@@ -252,45 +252,25 @@ class _LowRank:
         return (entry(f, f) - entry(t, f)) - (entry(f, t) - entry(t, t))
 
     def solve(self, rhs: np.ndarray, context: str, s_inv) -> np.ndarray:
-        """Solve ``(S^-1 + K) x = rhs``.
-
-        A singular bracket with ideal closures (``s_inv == 0``) among its
-        columns raises DegenerateSwitchError when the closures are redundant;
-        otherwise the update islands the grid (IslandingError).
-        """
+        """Solve ``(S^-1 + K) x = rhs`` once :meth:`check_closings` passes."""
+        self.check_closings(s_inv)
         scale = max(np.abs(s_inv).max(), np.abs(self.K).max())
-        try:
-            return guarded_solve(np.diag(s_inv) + self.K, rhs, context, scale)
-        except IslandingError as exc:
-            redundant = self._redundant_closing(self.cols[s_inv == 0.0])
-            if redundant is None:
-                raise
-            raise redundant from exc
+        return guarded_solve(np.diag(s_inv) + self.K, rhs, context, scale)
 
     def updated(self, context: str, s_inv) -> np.ndarray:
         """The updated inverse ``B^-1 - W (S^-1 + K)^-1 W^T``."""
         return self.sys.B_inv - self.W @ self.solve(self.W.T, context, s_inv)
 
-    def _redundant_closing(self, closed) -> DegenerateSwitchError | None:
-        """Tell a redundant closing apart from islanding: union-find over the
-        closed branches finds one whose terminals the others already merged."""
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            while parent.setdefault(x, x) != x:
-                x = parent[x]
-            return x
-
-        for c in closed:
-            br = self.sys.grid.branches[c]
-            ra, rb = find(br.from_bus), find(br.to_bus)
-            if ra == rb:
-                return DegenerateSwitchError(
-                    f"closing switch {br.id} is redundant: its terminals are already "
-                    "merged through other closed switches"
-                )
-            parent[ra] = rb
-        return None
+    def check_closings(self, s_inv) -> None:
+        """DegenerateSwitchError if an ideal closure (``s_inv == 0``) lies on a cycle of them."""
+        closed = np.flatnonzero(np.asarray(s_inv) == 0.0)
+        bridge = _walk(self.sys.n + 1, self.ends[0][closed], self.ends[1][closed])[1]
+        if not bridge.all():
+            br = self.sys.grid.branches[self.cols[closed[~bridge][-1]]]
+            raise DegenerateSwitchError(
+                f"closing switch {br.id} is redundant: its terminals are already "
+                "merged through other closed switches"
+            )
 
 
 def _ptdf_block(ends, B_inv: np.ndarray, b: np.ndarray, rows: slice = slice(None)) -> np.ndarray:

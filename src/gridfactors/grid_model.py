@@ -215,6 +215,36 @@ def _branch_col(grid: Grid, branch_id: int) -> int:
     return e
 
 
+def _walk(n: int, frm, to) -> tuple[np.ndarray, np.ndarray]:
+    """Component (its first node) of each node ``0..n-1`` and bridge flag of
+    each edge ``(frm[k], to[k])``, by one iterative depth-first search in
+    O(n + m): a tree edge into ``v`` is a bridge iff no other edge from ``v``'s
+    subtree reaches a node found before ``v`` (R. E. Tarjan, "A note on finding
+    the bridges of a graph", Inf. Process. Lett. 2(6), 1974). Edges are told
+    apart by index, so parallel edges are never bridges."""
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for k, (a, b) in enumerate(zip(np.asarray(frm).tolist(), np.asarray(to).tolist())):
+        adj[a].append((b, k, a))
+        adj[b].append((a, k, b))
+    pre, up, comp, seq = [-1] * n, [(-1, -1)] * n, [0] * n, []
+    for root in range(n):
+        stack = [(root, -1, -1)] if pre[root] < 0 else []
+        while stack:
+            v, k, u = stack.pop()
+            if pre[v] < 0:  # first reached: the edge k from u is its tree edge
+                pre[v], up[v], comp[v] = len(seq), (k, u), root
+                seq.append(v)
+                stack += adj[v]
+    low, bridge = pre[:], [False] * len(frm)
+    for v in reversed(seq):  # every subtree before its root
+        k, u = up[v]
+        low[v] = min([low[v]] + [pre[w] for w, j, _ in adj[v] if j != k])
+        if u >= 0:
+            low[u] = min(low[u], low[v])
+            bridge[k] = low[v] == pre[v]
+    return np.array(comp, dtype=np.intp), np.array(bridge, dtype=bool)
+
+
 def connected_components(
     grid: Grid,
     removed_branches: Iterable[int] = (),
@@ -222,37 +252,26 @@ def connected_components(
 ) -> list[set[int]]:
     """Partition buses into connected components by graph traversal.
 
-    In-service branches connect; switches connect only when listed in
+    In-service branches connect, and so does every branch listed in
     ``closed_switches``; ids in ``removed_branches`` are skipped entirely.
     Components are sorted by their smallest bus id.
     """
-    removed = set(removed_branches)
-    closed = set(closed_switches)
-    adj: dict[int, list[int]] = {b.id: [] for b in grid.buses}
-    for br in grid.branches:
-        if br.id in removed:
-            continue
-        live = br.in_service or (br.kind == SWITCH and br.id in closed)
-        if live:
-            adj[br.from_bus].append(br.to_bus)
-            adj[br.to_bus].append(br.from_bus)
-    seen: set[int] = set()
-    comps: list[set[int]] = []
-    for start in adj:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            n = stack.pop()
-            for m in adj[n]:
-                if m not in comp:
-                    comp.add(m)
-                    stack.append(m)
-        seen |= comp
-        comps.append(comp)
-    comps.sort(key=min)
-    return comps
+    removed, closed, at = set(removed_branches), set(closed_switches), grid.bus_index
+    live = [br for br in grid.branches
+            if br.id not in removed and (br.in_service or br.id in closed)]
+    comp = _walk(grid.n_buses, [at[b.from_bus] for b in live], [at[b.to_bus] for b in live])[0]
+    comps: dict[int, set[int]] = {}
+    for bus, c in zip(grid.bus_ids, comp.tolist()):
+        comps.setdefault(c, set()).add(bus)
+    return sorted(comps.values(), key=min)
+
+
+def _require_connected(grid: Grid, removed=(), closed=(), what: str = "grid") -> None:
+    """IslandingError carrying the components if :func:`connected_components` finds several."""
+    comps = connected_components(grid, removed, closed)
+    if len(comps) > 1:
+        msg = f"{what} is disconnected into {len(comps)} components"
+        raise IslandingError(msg, components=comps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -510,6 +529,7 @@ class GroundedSystem:
     ``chol`` is ``(L, True)`` with ``L`` the lower Cholesky factor of ``B``,
     or ``None`` when ``B`` is not positive definite: on a derived system
     whose grid is connected only through a closed switch, ``B`` is singular.
+    ``closed_switches``, closed by the update that gave ``B_inv``, connect.
     """
 
     grid: Grid
@@ -521,6 +541,7 @@ class GroundedSystem:
     B_inv: np.ndarray
     B: np.ndarray = _Lazy(lambda s: _grounded_laplacian(s.branch_ends, s.b, s.n))
     chol: tuple | None = _Lazy(_cholesky_or_none)
+    closed_switches: tuple[int, ...] = ()
 
     @property
     def n(self) -> int:
@@ -535,6 +556,15 @@ class GroundedSystem:
         kernels gathering rows of ``B^-1`` on branch endpoints keep at zero.
         """
         return _branch_ends(self.grid, self.index_map, self.n)
+
+    @cached_property
+    def bridges(self) -> np.ndarray:
+        """Per branch: whether its outage islands the grid (closed switches connect)."""
+        live = np.flatnonzero((self.b > 0.0) | np.isin(self.grid.branch_ids, self.closed_switches))
+        mask = np.zeros(len(self.b), dtype=bool)
+        mask[live] = _walk(self.n + 1, *(e[live] for e in self.branch_ends))[1] & (self.b[live] > 0)
+        _freeze(mask)
+        return mask
 
     def nu(self, branch_id: int) -> np.ndarray:
         """Terminal incidence vector of a branch in grounded coordinates."""
@@ -572,7 +602,7 @@ def _grounded_coords(grid: Grid) -> tuple[dict[int, int], tuple[np.ndarray, np.n
     return index_map, _branch_ends(grid, index_map, len(index_map))
 
 
-def _system(grid: Grid, coords, B_inv: np.ndarray) -> GroundedSystem:
+def _system(grid: Grid, coords, B_inv: np.ndarray, closed_switches=()) -> GroundedSystem:
     """Grounded system of ``grid`` in the coordinates ``_grounded_coords(grid)``."""
     index_map, ends = coords
     sys = GroundedSystem(
@@ -585,6 +615,7 @@ def _system(grid: Grid, coords, B_inv: np.ndarray) -> GroundedSystem:
         B_inv=B_inv,
         B=None,
         chol=None,
+        closed_switches=tuple(closed_switches),
     )
     sys.__dict__["branch_ends"] = ends  # seeds the cached property
     return sys
@@ -606,30 +637,25 @@ def build_grounded_system(grid: Grid) -> GroundedSystem:
         If the grid is disconnected; the error carries the components found
         by traversal.
     """
-    comps = connected_components(grid)
-    if len(comps) > 1:
-        raise IslandingError(
-            f"grid is disconnected into {len(comps)} components",
-            components=comps,
-        )
+    _require_connected(grid)
     coords = _grounded_coords(grid)
     try:
         B_inv = _grounded_inverse(coords[1], grid.susceptances(), grid.n_buses - 1)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - traversal catches first
-        raise IslandingError(f"grounded matrix is singular: {exc}") from exc
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - connected, so ill-conditioned
+        raise IslandingError(f"grounded matrix is ill-conditioned: {exc}") from exc
     _freeze(B_inv)
     return _system(grid, coords, B_inv)
 
 
-def system_from_inverse(grid: Grid, B_inv: np.ndarray) -> GroundedSystem:
+def system_from_inverse(grid: Grid, B_inv: np.ndarray, closed_switches=()) -> GroundedSystem:
     """Wrap a precomputed (possibly singular) inverse as a grounded system.
 
     Used when an inverse was obtained by a low-rank update; no factorization
     is performed. ``B`` and ``chol`` are those of ``grid``, built on first
-    read.
+    read. ``closed_switches`` are the switches the update closed.
     """
     n = grid.n_buses - 1
     B_inv = np.asarray(B_inv, dtype=float)
     if B_inv.shape != (n, n):
         raise GridStructureError(f"inverse has shape {B_inv.shape}, expected {(n, n)}")
-    return _system(grid, _grounded_coords(grid), B_inv)
+    return _system(grid, _grounded_coords(grid), B_inv, closed_switches)

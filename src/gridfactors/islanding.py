@@ -1,12 +1,10 @@
-"""Islanding detection: algebraic determinant-style criteria plus a
-traversal oracle.
+"""Islanding detection: the graph walk decides, the algebraic criteria report.
 
-Removing a branch multiplies the determinant of the grounded matrix by
-``1 - b_e nu_e^T B^-1 nu_e``, so a vanishing factor flags a bridge. The
-analogous split criterion is ``nu_s^T (B_o - B_o B_c^-1 B_o) nu_s``, judged
-by the rule the split routes raise on. The algebraic tests are the fast
-production path; graph traversal is the exact cross-check and provides the
-component membership.
+The outage criterion ``1 - b_e nu_e^T B^-1 nu_e`` vanishes exactly for a
+bridge, the split criterion ``nu_s^T (B_o - B_o B_c^-1 B_o) nu_s`` for an
+islanding split; as differences, roundoff can leave them nonzero across many
+decades of susceptance. So graph structure (``grid_model._walk``) sets the
+flags, and a split is also flagged where the routes' guard refuses it.
 """
 
 from __future__ import annotations
@@ -17,20 +15,17 @@ from .single_mod import outage_factors
 
 
 def outage_islands(sys: GroundedSystem, branch: int) -> tuple[bool, float]:
-    """Whether outaging ``branch`` disconnects the grid, plus the criterion.
-
-    Returns ``(islands, 1 - b_e nu^T B^-1 nu)``; the scalar is compared to
-    zero with ``OUTAGE_RTOL`` scaled by the transfer term. Reads the
-    criterion only: no LODF row is gathered.
-    """
+    """Whether outaging ``branch`` disconnects the grid (its ``sys.bridges``
+    entry), and the criterion ``1 - b_e nu^T B^-1 nu``; no LODF row is gathered."""
     out = outage_factors(sys, [_branch_col(sys.grid, branch)], rows=())
     return bool(out.islands[0]), float(out.criterion[0])
 
 
 def split_islands(tri: TriConfig, which: int = 0) -> tuple[bool, float]:
-    """Whether opening coupler ``which`` of the split disconnects the grid."""
+    """Whether the split routes refuse coupler ``which``: the open grid is
+    disconnected, or its criterion fails their conditioning guard."""
     s_val, tol = split_criterion(tri, which)
-    return abs(s_val) <= tol, s_val
+    return abs(s_val) <= tol or len(connected_components(tri.grid_o)) > 1, s_val
 
 
 #: exact bus partition into connected components by graph traversal: the

@@ -23,7 +23,7 @@ import numpy as np
 from ._linalg import PIVOT_RTOL, _lu_pivots, guarded_solve
 from .errors import DegenerateSwitchError, GridStructureError
 from .factors_base import FactorMatrix, _LowRank, _end_diff, _wrap_ptdf
-from .grid_model import GroundedSystem, _branch_col
+from .grid_model import GroundedSystem, _branch_col, _require_connected
 
 if TYPE_CHECKING:
     from .bus_topology import TriConfig
@@ -48,8 +48,7 @@ def woodbury_update(sys: GroundedSystem, mods: ModificationSet) -> np.ndarray:
     :class:`ComposedUpdate` of the deltas alone.
 
     Zero deltas are dropped; an empty effective set returns the reference
-    inverse unchanged. A singular inner matrix means the modification set
-    islands the grid.
+    inverse unchanged.
     """
     from .bus_topology import ComposedUpdate
 
@@ -232,11 +231,12 @@ def multi_split_inverse(tri: TriConfig) -> np.ndarray:
     """Open-grid inverse for one or more simultaneous busbar openings.
 
     ``B_o^-1 = B_c^-1 + (1 - B_c^-1 B_o) U [U^T (B_o - B_o B_c^-1 B_o) U]^-1
-    U^T (1 - B_o B_c^-1)``; a singular inner matrix means the combined
-    openings island the grid even if each one alone would not.
+    U^T (1 - B_o B_c^-1)``. The combined openings may island the grid even
+    if each one alone would not; a traversal of the open grid decides that.
     """
     from .bus_topology import _split_kernel
 
+    _require_connected(tri.grid_o, what="split grid")
     GU, inner, scale = _split_kernel(tri)
     X = guarded_solve(inner, GU.T, context="multi-coupler bus split", scale=scale.max())
     return tri.B_c_inv + GU @ X

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._linalg import SUSCEPTANCE_FLOOR
 from .bus_topology import SplitSpec, apply_split
-from .errors import GridStructureError, IslandingError
+from .errors import GridStructureError
 from .factors_base import FlowState, solve_flow
 from .grid_model import (
     Branch,
@@ -25,9 +25,9 @@ from .grid_model import (
     GroundedSystem,
     LINE,
     SWITCH,
+    _require_connected,
     build_grounded_system,
     build_incidence,
-    connected_components,
 )
 from .multi_mod import ModificationSet, woodbury_update
 
@@ -72,7 +72,7 @@ def rebuild_grid(
                 raise GridStructureError(f"branch {br.id} is not a switch")
             branches.append(replace(br, kind=LINE, susceptance=large_b))
         else:
-            if b_new < SUSCEPTANCE_FLOOR:
+            if b_new < SUSCEPTANCE_FLOOR * br.susceptance:
                 raise GridStructureError(
                     f"branch {br.id}: susceptance would become negative"
                 )
@@ -135,12 +135,7 @@ def pseudo_inverse_check(grid: Grid) -> np.ndarray:
     as a cross-check against the grounded-inverse path, which is the
     production route.
     """
-    comps = connected_components(grid)
-    if len(comps) > 1:
-        raise IslandingError(
-            f"grid is disconnected into {len(comps)} components",
-            components=comps,
-        )
+    _require_connected(grid)
     inc = build_incidence(grid)
     b = grid.susceptances()
     B_full = (inc.full * b) @ inc.full.T

@@ -21,10 +21,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._linalg import OUTAGE_RTOL, SUSCEPTANCE_FLOOR
-from .errors import GridStructureError, IslandingError
+from ._linalg import PIVOT_RTOL, SUSCEPTANCE_FLOOR, guarded_solve
+from .errors import GridStructureError
 from .factors_base import FactorMatrix, _LowRank, _end_diff, _wrap_ptdf
-from .grid_model import GroundedSystem, _branch_col
+from .grid_model import GroundedSystem, _branch_col, _require_connected
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class BranchDelta:
 
 def _check_delta(sys: GroundedSystem, d: BranchDelta) -> int:
     e = _branch_col(sys.grid, d.branch)
-    if sys.b[e] + d.delta_b < SUSCEPTANCE_FLOOR:
+    if sys.b[e] + d.delta_b < SUSCEPTANCE_FLOOR * sys.b[e]:
         raise GridStructureError(
             f"branch {d.branch}: susceptance would become negative "
             f"({sys.b[e]} + {d.delta_b})"
@@ -51,6 +51,8 @@ def updated_inverse(sys: GroundedSystem, d: BranchDelta) -> np.ndarray:
     e = _check_delta(sys, d)
     if d.delta_b == 0.0:
         return sys.B_inv
+    if sys.b[e] + d.delta_b <= 0.0:  # an outage: IslandingError for a bridge
+        _single_outage(sys, d.branch, rows=())
     return _LowRank(sys, [e]).updated(
         f"modifying branch {d.branch}", s_inv=np.array([1.0 / d.delta_b])
     )
@@ -74,8 +76,8 @@ class OutageFactors(NamedTuple):
 
     criterion: np.ndarray  #: ``1 - b_e t_e``; zero flags a bridge
     transfer: np.ndarray  #: ``b_e t_e`` with ``t_e = nu_e^T B^-1 nu_e``
-    islands: np.ndarray  #: criterion is zero within ``OUTAGE_RTOL``
-    lodf: np.ndarray  #: monitored rows x k LODF block, NaN columns where the outage islands
+    islands: np.ndarray  #: the branch is a bridge (``GroundedSystem.bridges``)
+    lodf: np.ndarray  #: monitored rows x k LODF block, NaN where islands or ill-conditioned
 
 
 def outage_factors(
@@ -85,13 +87,13 @@ def outage_factors(
 
     ``branch_idx`` holds k branch positions (incidence columns), ``rows``
     the distinct monitored branch positions (all branches by default; none
-    for criteria alone). The criteria ``1 - b_e t_e`` come first, off the
-    diagonal of the endpoint kernel. Only the non-islanding outages then
-    gather ``W = B^-1 U`` on their endpoints, and ``H = E^T W`` is gathered
-    on the monitored branches' endpoints only: ``LODF = diag(b) H / (1 -
-    b_e t_e)``, scaled in place. Gathers only, no matrix product: a block
-    costs O(k (n + len(rows))). ``lodf`` is the transposed view of a
-    row-major k x len(rows) array, one row per outage.
+    for criteria alone). The criteria ``1 - b_e t_e`` come off the diagonal
+    of the endpoint kernel. Only non-bridges whose criterion the pivot rule
+    tells from zero then gather ``W = B^-1 U`` on their endpoints, and
+    ``H = E^T W`` is gathered on the monitored branches' endpoints only:
+    ``LODF = diag(b) H / (1 - b_e t_e)``, scaled in place. Gathers only, no
+    matrix product: a block costs O(k (n + len(rows))). ``lodf`` is the
+    transposed view of a row-major k x len(rows) array, one row per outage.
     """
     cols = np.atleast_1d(np.asarray(branch_idx, dtype=np.intp))
     m = sys.grid.n_branches
@@ -99,8 +101,9 @@ def outage_factors(
     up = _LowRank(sys, cols)
     transfer = sys.b[cols] * up.K_d
     criterion = 1.0 - transfer
-    islands = np.abs(criterion) <= OUTAGE_RTOL * np.maximum(1.0, np.abs(transfer))
-    live = np.flatnonzero(~islands)
+    islands = sys.bridges[cols]
+    # guarded_solve's rule on the bracket -1/b_e + t_e = -criterion/b_e
+    live = np.flatnonzero(~islands & (abs(criterion) > PIVOT_RTOL * np.maximum(1.0, abs(transfer))))
     if not (live.size and rows.size):
         return OutageFactors(criterion, transfer, islands, np.full((rows.size, cols.size), np.nan))
     if live.size < cols.size:
@@ -113,7 +116,7 @@ def outage_factors(
     own = at[up.cols]
     hit = np.flatnonzero(own >= 0)
     lodf[hit, own[hit]] = -1.0  # the self-entries exactly
-    if live.size < cols.size:  # NaN rows for the outages that island
+    if live.size < cols.size:  # NaN rows for the outages left out
         full = np.full((cols.size, rows.size), np.nan)
         full[live] = lodf
         lodf = full
@@ -123,17 +126,16 @@ def outage_factors(
 def _single_outage(
     sys: GroundedSystem, branch: int, rows: Sequence[int] | None = None
 ) -> tuple[int, OutageFactors]:
-    """Position and outage factors of one in-service branch; IslandingError for a bridge."""
+    """Position and outage factors of one in-service branch; IslandingError if ill-posed."""
     e = _branch_col(sys.grid, branch)
     if sys.b[e] <= 0.0:
         raise GridStructureError(f"branch {branch} is not in service")
     out = outage_factors(sys, [e], rows)
     if out.islands[0]:
-        raise IslandingError(
-            f"outage of branch {branch} would island the grid "
-            f"(criterion {out.criterion[0]:.3g})",
-            criterion=float(out.criterion[0]),
-        )
+        _require_connected(sys.grid, [branch], sys.closed_switches, f"grid without branch {branch}")
+    # the 1 x 1 bracket, scaled by b_e: refused exactly where the LODF column is NaN
+    scale = max(1.0, abs(out.transfer[0]))
+    guarded_solve(out.criterion, np.ones(1), f"outage of branch {branch}", scale)
     return e, out
 
 

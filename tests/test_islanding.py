@@ -160,12 +160,6 @@ def test_case6ww_bus1_isolated_by_removing_incident_branches(ww_grid):
     assert len(comps) == 2
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the outage criterion 1 - b t is formed from entries of B^-1 by "
-    "subtraction, so a bridge can be missed beyond about 20 decades of "
-    "susceptance spread in one grid (ROADMAP item 2)",
-)
 def test_outage_flags_a_bridge_at_24_decades_of_spread():
     # slack -(1e-12)- bus 2 -(1e12)- bus 3: both lines are bridges. B^-1 at
     # bus 3 is 1e12 + 1e-12, which rounds to 1e12, so the strong line's
