@@ -58,6 +58,7 @@ _EXPORTS = {
         "lcdf_column",
         "lodf_column",
         "outage_factors",
+        "outage_peaks",
         "post_outage_angle_diff",
         "ptdf_after_mod",
         "updated_inverse",

@@ -10,6 +10,7 @@ scaled by the case base); native JSON grids are reported as-is.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys as _sys
@@ -49,7 +50,8 @@ EXIT_PARSE = 2
 EXIT_DISCONNECTED = 3
 EXIT_ISLANDS = 4
 
-#: target size of one m x k LODF block in the n-1 sweep, and of a switch sweep's blocks
+#: target size of one block of the n-1 screen (its k x n kernel rows, and at most
+#: k x m LODF entries), and of a switch sweep's blocks
 N1_BLOCK_BYTES = 4 << 20
 
 
@@ -90,8 +92,7 @@ def _print_rows(rows: list[dict], fmt: str) -> None:
         return
     keys = list(rows[0])
     if fmt == "jsonl":
-        for row in rows:
-            print(json.dumps(row))
+        print("\n".join(_jsonl_lines(rows)))
     elif fmt == "csv":
         print(",".join(keys))
         for row in rows:
@@ -103,6 +104,44 @@ def _print_rows(rows: list[dict], fmt: str) -> None:
         print("  ".join(k.ljust(widths[k]) for k in keys))
         for row in rows:
             print("  ".join(_cell(row[k]).ljust(widths[k]) for k in keys))
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_column(col: list) -> list[str]:
+    """``json.dumps`` of each value of a column, one writer for a column of
+    one type: bools before ints, floats by ``float.__repr__`` with json's
+    names for the non-finite ones, anything else by ``json.dumps``."""
+    if len(set(map(type, col))) > 1:
+        return [_json_column([v])[0] for v in col]
+    v = col[0]
+    if isinstance(v, bool):
+        return ["true" if x else "false" for x in col]
+    if isinstance(v, int):
+        return list(map(int.__repr__, col))
+    if isinstance(v, float):
+        out = list(map(float.__repr__, col))
+        for i in np.flatnonzero(~np.isfinite(col)).tolist():
+            out[i] = _NON_FINITE[out[i]]
+        return out
+    return list(map(json.dumps, col))
+
+
+def _jsonl_lines(rows: list[dict]) -> list[str]:
+    """``json.dumps(row)`` of each row, byte for byte, through one %-template
+    per run of rows with the same keys, written column by column."""
+    lines = []
+    for keys, run in itertools.groupby(rows, key=tuple):
+        run = list(run)
+        if not keys:
+            lines += ["{}"] * len(run)
+            continue
+        cells = [_json_column([r[k] for r in run]) for k in keys]
+        names = (json.dumps({k: 0})[1:-4].replace("%", "%%") for k in keys)  # json's key text
+        template = "{" + ", ".join(f"{name}: %s" for name in names) + "}"
+        lines += map(template.__mod__, zip(*cells))
+    return lines
 
 
 def _cell(v) -> str:
@@ -281,7 +320,7 @@ def cmd_whatif(args) -> int:
 
 
 def cmd_n1(args) -> int:
-    from .single_mod import outage_factors
+    from .single_mod import outage_factors, outage_peaks
 
     grid, base = load_case(args.case)
     if args.after:
@@ -297,24 +336,11 @@ def cmd_n1(args) -> int:
         sys = build_grounded_system(grid)
     f = solve_flow(sys).flows
     candidates = np.flatnonzero([br.in_service for br in grid.branches])
-    # Criteria first. A bridge's outage islands, and no other single outage
-    # moves a bridge's flow, so only the other outages are gathered, on the
-    # other outages' rows; every remaining |f| enters each max as one constant.
+    # Criteria first: a bridge's outage islands, so only the others are screened
     screen = outage_factors(sys, candidates, rows=())
-    live = candidates[~screen.islands]
-    unmoved = np.abs(np.delete(f, live)).max(initial=0.0)
-    peaks = np.empty(len(live))
-    # blocks of outages keep every k x m temporary near N1_BLOCK_BYTES
-    block = max(1, N1_BLOCK_BYTES // (8 * max(1, grid.n_branches)))
-    for start in range(0, len(live), block):
-        cols = live[start : start + block]
-        flows = outage_factors(sys, cols, live).lodf.T  # one row per outage, ours
-        flows *= f[cols, None]
-        flows += f[live]
-        np.abs(flows, out=flows)
-        peaks[start : start + len(cols)] = flows.max(axis=1)
     post = np.full(len(candidates), np.nan)
-    post[~screen.islands] = np.maximum(peaks, unmoved) * base
+    keep = ~screen.islands
+    post[keep] = outage_peaks(sys, f, candidates[keep], N1_BLOCK_BYTES) * base
     results = []
     for j, e in enumerate(candidates):
         br = grid.branches[e]

@@ -226,11 +226,16 @@ class _LowRank:
         """``B^-1 U``, n x k: the transposed view of ``Wt`` without its pad."""
         return self.Wt[:, :-1].T
 
-    def at_ends(self, ends: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    def at_ends(self, ends: tuple[np.ndarray, np.ndarray], sub=None) -> np.ndarray:
         """``(E^T W)^T`` for the branches with grounded endpoints ``ends``: row
-        ``j`` holds ``W[from, j] - W[to, j]`` per branch, gathered on ``Wt``."""
-        out = self.Wt.take(ends[0], axis=1)
-        out -= self.Wt.take(ends[1], axis=1)
+        ``j`` holds ``W[from, j] - W[to, j]`` per branch, gathered on ``Wt``;
+        only the rows ``sub`` of it when given, each entry bit for bit the same."""
+        if sub is None:
+            out = self.Wt.take(ends[0], axis=1)
+            out -= self.Wt.take(ends[1], axis=1)
+        else:
+            out = self.Wt[np.ix_(sub, ends[0])]
+            out -= self.Wt[np.ix_(sub, ends[1])]
         return out
 
     @cached_property

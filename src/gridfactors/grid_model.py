@@ -560,11 +560,8 @@ class GroundedSystem:
     @cached_property
     def bridges(self) -> np.ndarray:
         """Per branch: whether its outage islands the grid (closed switches connect)."""
-        live = np.flatnonzero((self.b > 0.0) | np.isin(self.grid.branch_ids, self.closed_switches))
-        mask = np.zeros(len(self.b), dtype=bool)
-        mask[live] = _walk(self.n + 1, *(e[live] for e in self.branch_ends))[1] & (self.b[live] > 0)
-        _freeze(mask)
-        return mask
+        live = (self.b > 0.0) | np.isin(self.grid.branch_ids, self.closed_switches)
+        return _grounded_walk(self.n, self.branch_ends, self.b, live)[1]
 
     def nu(self, branch_id: int) -> np.ndarray:
         """Terminal incidence vector of a branch in grounded coordinates."""
@@ -589,6 +586,18 @@ class GroundedSystem:
         out = np.zeros(self.grid.n_buses)
         out[self._non_slack_rows] = x_reduced
         return out
+
+
+def _grounded_walk(n: int, ends: tuple[np.ndarray, np.ndarray], b: np.ndarray, live: np.ndarray):
+    """:func:`_walk` over the branches in the mask ``live`` between the grounded
+    ends ``ends`` (rows ``0..n-1``, the slack on the pad ``n``): the component
+    of each node and the frozen bridge flag of each branch, set where ``b > 0``."""
+    at = np.flatnonzero(live)
+    comp, bridge = _walk(n + 1, ends[0][at], ends[1][at])
+    mask = np.zeros(len(b), dtype=bool)
+    mask[at] = bridge & (b[at] > 0.0)
+    _freeze(mask)
+    return comp, mask
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -629,7 +638,8 @@ def build_grounded_system(grid: Grid) -> GroundedSystem:
     core left proves it positive definite and gives its inverse as
     ``L^-T L^-1``, and the eliminated buses' rows follow from the core's.
     On a grid without such buses the core is the whole grounded matrix.
-    ``B`` and ``chol`` are built only when read.
+    ``B`` and ``chol`` are built only when read. One walk over the branches
+    with ``b > 0`` both checks connectivity and gives ``bridges``.
 
     Raises
     ------
@@ -637,14 +647,18 @@ def build_grounded_system(grid: Grid) -> GroundedSystem:
         If the grid is disconnected; the error carries the components found
         by traversal.
     """
-    _require_connected(grid)
-    coords = _grounded_coords(grid)
+    coords, b, n = _grounded_coords(grid), grid.susceptances(), grid.n_buses - 1
+    comp, bridges = _grounded_walk(n, coords[1], b, b > 0.0)
+    if comp.any():  # a second component: the traversal names them all
+        _require_connected(grid)
     try:
-        B_inv = _grounded_inverse(coords[1], grid.susceptances(), grid.n_buses - 1)
+        B_inv = _grounded_inverse(coords[1], b, n)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - connected, so ill-conditioned
         raise IslandingError(f"grounded matrix is ill-conditioned: {exc}") from exc
     _freeze(B_inv)
-    return _system(grid, coords, B_inv)
+    sys = _system(grid, coords, B_inv)
+    sys.__dict__["bridges"] = bridges  # the same walk the property makes on a base grid
+    return sys
 
 
 def system_from_inverse(grid: Grid, B_inv: np.ndarray, closed_switches=()) -> GroundedSystem:

@@ -11,7 +11,10 @@ Outages of many branches share one kernel, :func:`outage_factors`, which
 gathers rows of the inverse on branch endpoints (Guo, Fu, Li and
 Shahidehpour, "Direct calculation of line outage distribution factors",
 IEEE Trans. Power Syst. 24(3), 2009); the one-branch outage functions are
-calls of it with a single branch.
+calls of it with a single branch. The (n-1) screen, :func:`outage_peaks`,
+runs the same LODF kernel on few rows per outage: since ``|LODF| <= 1``, a
+row whose ``|f_l| + |f_e|`` stays below a lower bound on the outage's
+maximum cannot hold it, and is never gathered.
 """
 
 from __future__ import annotations
@@ -80,6 +83,50 @@ class OutageFactors(NamedTuple):
     lodf: np.ndarray  #: monitored rows x k LODF block, NaN where islands or ill-conditioned
 
 
+def _outage_kernel(sys: GroundedSystem, cols: np.ndarray):
+    """Criteria, transfers and bridge flags of outaging the branches at
+    ``cols``, the positions among them of the outages the pivot rule tells
+    from islanding, and the endpoint kernel of those (``Wt`` not gathered)."""
+    up = _LowRank(sys, cols)
+    transfer = sys.b[cols] * up.K_d
+    criterion = 1.0 - transfer
+    islands = sys.bridges[cols]
+    # guarded_solve's rule on the bracket -1/b_e + t_e = -criterion/b_e
+    live = np.flatnonzero(~islands & (abs(criterion) > PIVOT_RTOL * np.maximum(1.0, abs(transfer))))
+    if live.size < cols.size:
+        up = _LowRank(sys, cols[live])
+    return up, criterion, transfer, islands, live
+
+
+def _lodf_rows(
+    sys: GroundedSystem, up: _LowRank, criterion: np.ndarray, rows: np.ndarray, sub=None
+) -> np.ndarray:
+    """The one LODF kernel: one row per outage of ``up`` (per outage at
+    ``sub`` only, when given) on the monitored branch positions ``rows``,
+    ``b_l H / criterion`` with ``H = E^T W`` gathered on ``Wt`` and the
+    self-entries exactly -1. ``criterion`` holds one entry per outage of ``up``."""
+    part = slice(None) if sub is None else sub
+    lodf = up.at_ends((sys.branch_ends[0][rows], sys.branch_ends[1][rows]), sub)
+    lodf *= sys.b[rows]
+    lodf /= criterion[part, None]
+    at = np.full(sys.grid.n_branches, -1, dtype=np.intp)  # monitored position of each branch
+    at[rows] = np.arange(len(rows))
+    own = at[up.cols[part]]
+    hit = np.flatnonzero(own >= 0)
+    lodf[hit, own[hit]] = -1.0
+    return lodf
+
+
+def _post_flows(
+    sys: GroundedSystem, up: _LowRank, criterion: np.ndarray, f: np.ndarray, rows, sub=None
+) -> np.ndarray:
+    """Post-outage flows ``f_l + LODF_le f_e`` of :func:`_lodf_rows`' block."""
+    post = _lodf_rows(sys, up, criterion, rows, sub)
+    post *= f[up.cols if sub is None else up.cols[sub], None]
+    post += f[rows]
+    return post
+
+
 def outage_factors(
     sys: GroundedSystem, branch_idx: Sequence[int], rows: Sequence[int] | None = None
 ) -> OutageFactors:
@@ -96,31 +143,142 @@ def outage_factors(
     transposed view of a row-major k x len(rows) array, one row per outage.
     """
     cols = np.atleast_1d(np.asarray(branch_idx, dtype=np.intp))
-    m = sys.grid.n_branches
-    rows = np.arange(m) if rows is None else np.asarray(rows, dtype=np.intp)
-    up = _LowRank(sys, cols)
-    transfer = sys.b[cols] * up.K_d
-    criterion = 1.0 - transfer
-    islands = sys.bridges[cols]
-    # guarded_solve's rule on the bracket -1/b_e + t_e = -criterion/b_e
-    live = np.flatnonzero(~islands & (abs(criterion) > PIVOT_RTOL * np.maximum(1.0, abs(transfer))))
+    rows = np.arange(sys.grid.n_branches) if rows is None else np.asarray(rows, dtype=np.intp)
+    up, criterion, transfer, islands, live = _outage_kernel(sys, cols)
     if not (live.size and rows.size):
         return OutageFactors(criterion, transfer, islands, np.full((rows.size, cols.size), np.nan))
-    if live.size < cols.size:
-        up = _LowRank(sys, cols[live])
-    lodf = up.at_ends((sys.branch_ends[0][rows], sys.branch_ends[1][rows]))  # H^T
-    lodf *= sys.b[rows]
-    lodf /= criterion[live, None]
-    at = np.full(m, -1, dtype=np.intp)  # monitored position of each branch
-    at[rows] = np.arange(rows.size)
-    own = at[up.cols]
-    hit = np.flatnonzero(own >= 0)
-    lodf[hit, own[hit]] = -1.0  # the self-entries exactly
+    lodf = _lodf_rows(sys, up, criterion[live], rows)
     if live.size < cols.size:  # NaN rows for the outages left out
         full = np.full((cols.size, rows.size), np.nan)
         full[live] = lodf
         lodf = full
     return OutageFactors(criterion, transfer, islands, lodf.T)
+
+
+#: rows of largest |f| on which :func:`outage_peaks` first takes every
+#: outage's exact post-outage flows, for a lower bound on its maximum
+PEAK_ROWS = 16
+
+_EPS = np.finfo(float).eps
+
+
+def _switch_cuts(sys: GroundedSystem):
+    """Kirchhoff's current law across each closed switch of ``sys``.
+
+    The closed switches form a forest (a redundant closing is refused), so
+    cutting switch ``s`` out of it leaves the buses ``A`` that the other
+    closed switches join to its from end. The switch carries what ``A``
+    injects less what leaves ``A`` over the branches with flows:
+    ``z_s = sum_A p - sum_l sigma_l f_l`` with ``sigma_l = [from_l in A] -
+    [to_l in A]``. Returns the branches with some nonzero ``sigma`` and,
+    per closed switch, its ``(positions among them, sigma there, sum_A
+    p)``; ``None`` without closed switches.
+    """
+    grid = sys.grid
+    sw = [grid.branch_index[s] for s in sys.closed_switches]
+    if not sw:
+        return None
+    frm, to = sys.branch_ends
+    inj = grid.injections()
+    p = np.append(sys.reduce(inj), inj[grid.bus_index[grid.slack]])  # the slack on the pad
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for s in sw:
+        f, t = int(frm[s]), int(to[s])
+        adj.setdefault(f, []).append((t, s))
+        adj.setdefault(t, []).append((f, s))
+    carries = sys.b > 0.0  # closed switches carry no flow of their own in f
+    carries[sw] = False
+    sides = []
+    for s in sw:
+        side, stack = {int(frm[s])}, [int(frm[s])]
+        while stack:
+            for w, k in adj[stack.pop()]:
+                if k != s and w not in side:
+                    side.add(w)
+                    stack.append(w)
+        in_side = np.zeros(sys.n + 1, dtype=bool)
+        in_side[list(side)] = True
+        sigma = np.where(carries, in_side[frm].astype(float) - in_side[to], 0.0)
+        at = np.flatnonzero(sigma)
+        sides.append((at, sigma[at], p[in_side].sum()))
+    rows = np.unique(np.concatenate([at for at, _, _ in sides]))
+    return rows, [(np.searchsorted(rows, at), sigma, ps) for at, sigma, ps in sides]
+
+
+def _switch_flows(flows: np.ndarray, cuts) -> np.ndarray:
+    """Closed-switch flows by :func:`_switch_cuts`, from branch flows on its
+    rows: one row of ``flows`` per state, one column per closed switch."""
+    return np.stack([ps - (flows[:, at] * sigma).sum(axis=1) for at, sigma, ps in cuts[1]], axis=1)
+
+
+def outage_peaks(
+    sys: GroundedSystem, f: np.ndarray, cols: Sequence[int], block_bytes: int
+) -> np.ndarray:
+    """Largest post-outage |flow| for outaging each branch at ``cols``.
+
+    ``f`` holds the pre-outage flows of ``sys``. The post-outage flow on
+    branch ``l`` is ``f_l + LODF_le f_e``, every entry from the arithmetic
+    of :func:`outage_factors`, so each maximum is bit for bit the one over
+    its full LODF column; a bridge's or an ill-conditioned outage's is NaN.
+    Only non-bridge rows move, so every other ``|f|`` enters each maximum
+    as one constant. Few moving rows are gathered: ``LODF_le`` is the
+    post-outage PTDF of a transfer across ``e``'s terminals, so ``|LODF_le|
+    <= 1`` and ``|f_l + LODF_le f_e| <= |f_l| + |f_e|``. With the rows
+    sorted by ``|f|`` once, each outage first gets its exact flows on the
+    ``PEAK_ROWS`` rows of largest ``|f|``, which with the constant give a
+    lower bound ``LB_e`` on its maximum; it then gets only the rows with
+    ``(1 + tau_e)(|f_l| + |f_e|) >= LB_e``, a prefix of the sorted rows,
+    in chunks of doubling length. ``tau_e = m^2 eps (b_max / b_min) /
+    |1 - b_e t_e|`` allows for the roundoff in the entries and in the flow
+    itself; an outage with ``tau_e >= 1`` gets every row. Outages go in
+    blocks ordered by ``|f_e|``, each with its kernel rows ``Wt`` (k x n)
+    near ``block_bytes``. Closed switches (``sys.closed_switches``) carry
+    flows that ``f`` does not hold: theirs follow from the post-outage
+    flows by Kirchhoff's current law on one side of the switch
+    (:func:`_switch_cuts`), taken for every outage.
+    """
+    cols = np.asarray(cols, dtype=np.intp)
+    m = sys.grid.n_branches
+    a = np.abs(f)
+    rows = np.flatnonzero((sys.b > 0.0) & ~sys.bridges)  # the rows an outage moves
+    unmoved = np.delete(a, rows).max(initial=0.0)
+    rows = rows[np.argsort(-a[rows], kind="stable")]
+    sorted_neg = -a[rows]  # ascending, for searchsorted
+    cuts = _switch_cuts(sys)
+    b = sys.b[sys.b > 0.0]
+    spread = b.max() / b.min() if b.size else 1.0
+    peaks = np.full(cols.size, np.nan)
+    order = np.argsort(a[cols], kind="stable")
+    block = max(1, block_bytes // (8 * max(m, sys.n + 1)))
+    for start in range(0, cols.size, block):
+        at = order[start : start + block]
+        up, criterion, _, _, live = _outage_kernel(sys, cols[at])
+        if not live.size:
+            continue
+        crit = criterion[live]
+        peak = np.full(live.size, unmoved)
+        if cuts is not None:
+            post = _switch_flows(_post_flows(sys, up, crit, f, cuts[0]), cuts)
+            np.maximum(peak, np.abs(post).max(axis=1), out=peak)
+        lo, hi, sub = 0, PEAK_ROWS, None
+        while lo < rows.size:
+            post = _post_flows(sys, up, crit, f, rows[lo:hi], sub)
+            np.abs(post, out=post)
+            part = slice(None) if sub is None else sub
+            peak[part] = np.maximum(peak[part], post.max(axis=1))
+            if lo == 0:  # the prefix each outage needs, LB_e = peak
+                tau = (m * m * _EPS * spread) / np.abs(crit)
+                fe = np.abs(f[up.cols])
+                need = np.searchsorted(sorted_neg, fe - peak / (1.0 + tau), side="right")
+                need[tau >= 1.0] = rows.size
+            lo, hi = hi, 2 * hi
+            sub = np.flatnonzero(need > lo)
+            if not sub.size:
+                break
+            if sub.size == live.size:
+                sub = None
+        peaks[at[live]] = peak
+    return peaks
 
 
 def _single_outage(
