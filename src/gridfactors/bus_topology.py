@@ -51,7 +51,7 @@ from .grid_model import (
     _system,
     system_from_inverse,
 )
-from .multi_mod import SwitchKernel, SwitchStates
+from .multi_mod import ModificationSet, SwitchKernel, SwitchStates
 from .single_mod import BranchDelta, _check_delta, lodf_column
 
 PARENT = "parent"
@@ -350,8 +350,9 @@ class ComposedUpdate:
     ends; each tie's removal, which cancels ``grounding_b``.
 
     ``grid`` is the final grid (switches keep their kind); ``switches`` maps
-    switch ids to closed flags (``closed`` lists the closed ones). A redundant
-    closing raises DegenerateSwitchError, a disconnected final grid IslandingError.
+    switch ids to closed flags (``closed`` lists the closed ones). A branch
+    given two deltas raises GridStructureError, a redundant closing
+    DegenerateSwitchError, a disconnected final grid IslandingError.
     """
 
     def __init__(
@@ -362,7 +363,7 @@ class ComposedUpdate:
         splits: SplitSpec | Sequence[SplitSpec] = (),
         grounding_b: float | None = None,
     ):
-        grid, deltas = sys.grid, dict(deltas)
+        grid, deltas = sys.grid, dict(ModificationSet(tuple(deltas)).entries)
         for bid, d in deltas.items():
             if grid.branches[_check_delta(sys, BranchDelta(bid, d))].kind == SWITCH:
                 raise GridStructureError(

@@ -242,27 +242,24 @@ def _switches_from_doc(doc: dict) -> dict:
 def _composed_update(doc: dict, sys: GroundedSystem) -> ComposedUpdate:
     """The modification JSON as one composed low-rank update of ``sys``."""
     from .bus_topology import ComposedUpdate
-    from .multi_mod import ModificationSet, SwitchStates
+    from .multi_mod import SwitchStates
 
     try:
-        entries = tuple((int(d["branch"]), float(d["db"])) for d in doc.get("deltas", []))
+        deltas = [(int(d["branch"]), float(d["db"])) for d in doc.get("deltas", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise CaseParseError(f"bad susceptance delta: {exc!r}")
-    deltas = ModificationSet(entries=entries)
     states = SwitchStates.from_mapping(_switches_from_doc(doc))
     splits = [_split_from_doc(d) for d in doc.get("splits", [])]
-    return ComposedUpdate(sys, deltas.entries, dict(zip(states.switches, states.closed)), splits)
+    return ComposedUpdate(sys, deltas, dict(zip(states.switches, states.closed)), splits)
 
 
-def apply_modifications(grid: Grid, doc: dict, sys: GroundedSystem | None = None):
+def apply_modifications(grid: Grid, doc: dict):
     """Apply a modification set (deltas, switch settings, splits) at once.
 
     Returns the final grid and the system carrying its grounded inverse,
     one :class:`ComposedUpdate` of the base inverse: no refactorization.
-    ``sys`` is the grounded system of ``grid`` when the caller has already
-    built it; otherwise it is built here.
     """
-    up = _composed_update(doc, sys or build_grounded_system(grid))
+    up = _composed_update(doc, build_grounded_system(grid))
     return up.grid, system_from_inverse(up.grid, up.inverse(), up.closed)
 
 
@@ -335,12 +332,9 @@ def cmd_n1(args) -> int:
     else:
         sys = build_grounded_system(grid)
     f = solve_flow(sys).flows
-    candidates = np.flatnonzero([br.in_service for br in grid.branches])
-    # Criteria first: a bridge's outage islands, so only the others are screened
+    candidates = np.flatnonzero(sys.b > 0.0)  # the in-service branches
     screen = outage_factors(sys, candidates, rows=())
-    post = np.full(len(candidates), np.nan)
-    keep = ~screen.islands
-    post[keep] = outage_peaks(sys, f, candidates[keep], N1_BLOCK_BYTES) * base
+    post = outage_peaks(sys, f, candidates, N1_BLOCK_BYTES) * base  # NaN where islands
     results = []
     for j, e in enumerate(candidates):
         br = grid.branches[e]

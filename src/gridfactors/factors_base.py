@@ -257,8 +257,8 @@ class _LowRank:
         return (entry(f, f) - entry(t, f)) - (entry(f, t) - entry(t, t))
 
     def solve(self, rhs: np.ndarray, context: str, s_inv) -> np.ndarray:
-        """Solve ``(S^-1 + K) x = rhs`` once :meth:`check_closings` passes."""
-        self.check_closings(s_inv)
+        """Solve ``(S^-1 + K) x = rhs`` by ``guarded_solve``; a caller that
+        closes switches runs :meth:`check_closings` first, once per update."""
         scale = max(np.abs(s_inv).max(), np.abs(self.K).max())
         return guarded_solve(np.diag(s_inv) + self.K, rhs, context, scale)
 
@@ -267,7 +267,9 @@ class _LowRank:
         return self.sys.B_inv - self.W @ self.solve(self.W.T, context, s_inv)
 
     def check_closings(self, s_inv) -> None:
-        """DegenerateSwitchError if an ideal closure (``s_inv == 0``) lies on a cycle of them."""
+        """DegenerateSwitchError if an ideal closure (``s_inv == 0``) lies on a
+        cycle of them, by one walk of the closures over the ``n + 1`` grounded
+        buses: before any connectivity test or solve of the update."""
         closed = np.flatnonzero(np.asarray(s_inv) == 0.0)
         bridge = _walk(self.sys.n + 1, self.ends[0][closed], self.ends[1][closed])[1]
         if not bridge.all():

@@ -139,9 +139,9 @@ class SwitchKernel(_LowRank):
         closed = np.flatnonzero(self.xi(states))
         if not closed.size:
             return self.sys.B_inv
-        return _LowRank(self.sys, self.cols[closed]).updated(
-            "multi-switch merge", np.zeros(closed.size)
-        )
+        up = _LowRank(self.sys, self.cols[closed])
+        up.check_closings(np.zeros(closed.size))
+        return up.updated("multi-switch merge", np.zeros(closed.size))
 
     def merged_angles(
         self, states: SwitchStates, theta: np.ndarray
@@ -161,6 +161,7 @@ class SwitchKernel(_LowRank):
         if not closed.size:
             return theta, y
         up = _LowRank(self.sys, self.cols[closed])
+        up.check_closings(np.zeros(closed.size))
         y[closed] = up.solve(_end_diff(up.ends, theta), "multi-switch merge", np.zeros(closed.size))
         return theta - up.W @ y[closed], y
 

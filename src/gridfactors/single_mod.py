@@ -27,7 +27,7 @@ import numpy as np
 from ._linalg import PIVOT_RTOL, SUSCEPTANCE_FLOOR, guarded_solve
 from .errors import GridStructureError
 from .factors_base import FactorMatrix, _LowRank, _end_diff, _wrap_ptdf
-from .grid_model import GroundedSystem, _branch_col, _require_connected
+from .grid_model import GroundedSystem, _branch_col, _require_connected, _walk
 
 
 @dataclass(frozen=True)
@@ -167,37 +167,31 @@ def _switch_cuts(sys: GroundedSystem):
 
     The closed switches form a forest (a redundant closing is refused), so
     cutting switch ``s`` out of it leaves the buses ``A`` that the other
-    closed switches join to its from end. The switch carries what ``A``
-    injects less what leaves ``A`` over the branches with flows:
-    ``z_s = sum_A p - sum_l sigma_l f_l`` with ``sigma_l = [from_l in A] -
-    [to_l in A]``. Returns the branches with some nonzero ``sigma`` and,
-    per closed switch, its ``(positions among them, sigma there, sum_A
-    p)``; ``None`` without closed switches.
+    closed switches join to its from end: its component in
+    ``grid_model._walk`` of those switches, on the forest's own buses (the
+    slack's pad index among them). The switch carries what ``A`` injects
+    less what leaves ``A`` over the branches with flows: ``z_s = sum_A p -
+    sum_l sigma_l f_l`` with ``sigma_l = [from_l in A] - [to_l in A]``.
+    Returns the branches with some nonzero ``sigma`` and, per closed
+    switch, its ``(positions among them, sigma there, sum_A p)``; ``None``
+    without closed switches.
     """
     grid = sys.grid
-    sw = [grid.branch_index[s] for s in sys.closed_switches]
-    if not sw:
+    sw = np.array([grid.branch_index[s] for s in sys.closed_switches], dtype=np.intp)
+    if not sw.size:
         return None
     frm, to = sys.branch_ends
     inj = grid.injections()
     p = np.append(sys.reduce(inj), inj[grid.bus_index[grid.slack]])  # the slack on the pad
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for s in sw:
-        f, t = int(frm[s]), int(to[s])
-        adj.setdefault(f, []).append((t, s))
-        adj.setdefault(t, []).append((f, s))
+    buses, ends = np.unique(np.concatenate([frm[sw], to[sw]]), return_inverse=True)
+    f, t = ends.reshape(2, sw.size)
     carries = sys.b > 0.0  # closed switches carry no flow of their own in f
     carries[sw] = False
     sides = []
-    for s in sw:
-        side, stack = {int(frm[s])}, [int(frm[s])]
-        while stack:
-            for w, k in adj[stack.pop()]:
-                if k != s and w not in side:
-                    side.add(w)
-                    stack.append(w)
+    for k in range(sw.size):
+        comp = _walk(buses.size, np.delete(f, k), np.delete(t, k))[0]
         in_side = np.zeros(sys.n + 1, dtype=bool)
-        in_side[list(side)] = True
+        in_side[buses[comp == comp[f[k]]]] = True
         sigma = np.where(carries, in_side[frm].astype(float) - in_side[to], 0.0)
         at = np.flatnonzero(sigma)
         sides.append((at, sigma[at], p[in_side].sum()))
@@ -219,23 +213,24 @@ def outage_peaks(
     ``f`` holds the pre-outage flows of ``sys``. The post-outage flow on
     branch ``l`` is ``f_l + LODF_le f_e``, every entry from the arithmetic
     of :func:`outage_factors`, so each maximum is bit for bit the one over
-    its full LODF column; a bridge's or an ill-conditioned outage's is NaN.
-    Only non-bridge rows move, so every other ``|f|`` enters each maximum
-    as one constant. Few moving rows are gathered: ``LODF_le`` is the
-    post-outage PTDF of a transfer across ``e``'s terminals, so ``|LODF_le|
-    <= 1`` and ``|f_l + LODF_le f_e| <= |f_l| + |f_e|``. With the rows
-    sorted by ``|f|`` once, each outage first gets its exact flows on the
-    ``PEAK_ROWS`` rows of largest ``|f|``, which with the constant give a
-    lower bound ``LB_e`` on its maximum; it then gets only the rows with
-    ``(1 + tau_e)(|f_l| + |f_e|) >= LB_e``, a prefix of the sorted rows,
-    in chunks of doubling length. ``tau_e = m^2 eps (b_max / b_min) /
-    |1 - b_e t_e|`` allows for the roundoff in the entries and in the flow
-    itself; an outage with ``tau_e >= 1`` gets every row. Outages go in
-    blocks ordered by ``|f_e|``, each with its kernel rows ``Wt`` (k x n)
-    near ``block_bytes``. Closed switches (``sys.closed_switches``) carry
-    flows that ``f`` does not hold: theirs follow from the post-outage
-    flows by Kirchhoff's current law on one side of the switch
-    (:func:`_switch_cuts`), taken for every outage.
+    its full LODF column. A bridge's outage (left out by the kernel's
+    ``islands`` flags, so ``cols`` may hold every in-service branch) or an
+    ill-conditioned one's is NaN. Only non-bridge rows move, so every other
+    ``|f|`` enters each maximum as one constant. Few moving rows are
+    gathered: ``LODF_le`` is the post-outage PTDF of a transfer across
+    ``e``'s terminals, so ``|LODF_le| <= 1`` and ``|f_l + LODF_le f_e| <=
+    |f_l| + |f_e|``. With the rows sorted by ``|f|`` once, each outage gets
+    its exact flows on the ``PEAK_ROWS`` rows of largest ``|f|`` and then on
+    chunks of doubling length; after each chunk it goes on only while
+    ``(1 + tau_e)(|f_l| + |f_e|) >= peak_e`` at the next row ``l``, with
+    ``peak_e`` its running maximum (the constant included). ``tau_e = m^2
+    eps (b_max / b_min) / |1 - b_e t_e|`` allows for the roundoff in the
+    entries and in the flow itself; an outage with ``tau_e >= 1`` gets
+    every row. Outages go in blocks ordered by ``|f_e|``, each with its
+    kernel rows ``Wt`` (k x n) near ``block_bytes``. Closed switches
+    (``sys.closed_switches``) carry flows that ``f`` does not hold: theirs
+    follow from the post-outage flows by Kirchhoff's current law on one
+    side of the switch (:func:`_switch_cuts`), taken for every outage.
     """
     cols = np.asarray(cols, dtype=np.intp)
     m = sys.grid.n_branches
@@ -243,7 +238,6 @@ def outage_peaks(
     rows = np.flatnonzero((sys.b > 0.0) & ~sys.bridges)  # the rows an outage moves
     unmoved = np.delete(a, rows).max(initial=0.0)
     rows = rows[np.argsort(-a[rows], kind="stable")]
-    sorted_neg = -a[rows]  # ascending, for searchsorted
     cuts = _switch_cuts(sys)
     b = sys.b[sys.b > 0.0]
     spread = b.max() / b.min() if b.size else 1.0
@@ -256,27 +250,22 @@ def outage_peaks(
         if not live.size:
             continue
         crit = criterion[live]
+        tau = (m * m * _EPS * spread) / np.abs(crit)
+        fe = np.abs(f[up.cols])
         peak = np.full(live.size, unmoved)
         if cuts is not None:
             post = _switch_flows(_post_flows(sys, up, crit, f, cuts[0]), cuts)
             np.maximum(peak, np.abs(post).max(axis=1), out=peak)
         lo, hi, sub = 0, PEAK_ROWS, None
-        while lo < rows.size:
+        while lo < rows.size and (sub is None or sub.size):
             post = _post_flows(sys, up, crit, f, rows[lo:hi], sub)
             np.abs(post, out=post)
             part = slice(None) if sub is None else sub
             peak[part] = np.maximum(peak[part], post.max(axis=1))
-            if lo == 0:  # the prefix each outage needs, LB_e = peak
-                tau = (m * m * _EPS * spread) / np.abs(crit)
-                fe = np.abs(f[up.cols])
-                need = np.searchsorted(sorted_neg, fe - peak / (1.0 + tau), side="right")
-                need[tau >= 1.0] = rows.size
             lo, hi = hi, 2 * hi
-            sub = np.flatnonzero(need > lo)
-            if not sub.size:
-                break
-            if sub.size == live.size:
-                sub = None
+            if lo < rows.size:  # the outages whose bound still reaches the next row
+                go = (tau >= 1.0) | ((1.0 + tau) * (a[rows[lo]] + fe) >= peak)
+                sub = None if go.all() else np.flatnonzero(go)
         peaks[at[live]] = peak
     return peaks
 

@@ -566,3 +566,12 @@ def test_split_criterion_positive_for_viable_splits(small_grids):
         assert s_val > tol
         positives += 1
     assert positives >= 8
+
+
+def test_composed_update_refuses_a_repeated_delta():
+    # a branch given two deltas would otherwise keep only the last one
+    from gridfactors.bus_topology import ComposedUpdate
+
+    sys = build_grounded_system(random_grid(3, 12, 2.6))
+    with pytest.raises(GridStructureError, match=r"duplicate branch ids .*\[4, 4\]"):
+        ComposedUpdate(sys, [(4, -0.5), (4, -0.3)])

@@ -865,3 +865,53 @@ def test_multi_mod_import_loads_neither_bus_topology_nor_single_mod():
         check=True, timeout=120,
     )
     assert out.stdout.split() == ["[]", "ok"]
+
+
+
+def _exit_case_files(tmp_path):
+    """Paths of case6ww, of the same grid with switch 1000 across (2, 6), and
+    of a two-bus grid whose one line is a bridge."""
+    ww = tmp_path / "case6ww.m"
+    ww.write_text(case6ww_text())
+    switched = tmp_path / "switched.json"
+    switched.write_text(grid_to_json(add_switches(cli.load_case(str(ww))[0], [(2, 6)])[0]))
+    bridge = tmp_path / "two_bus.json"
+    bridge.write_text(grid_to_json(two_bus(b=1.0, slack=2, p=0.0)))
+    return {"ww": str(ww), "switched": str(switched), "bridge": str(bridge)}
+
+
+def _split(**spec):
+    return json.dumps({"splits": [{"parent": 5, "assignments": {"3": "new"}, **spec}]})
+
+
+@pytest.mark.parametrize(
+    "argv, code, prefix",
+    [
+        (["n1", "bridge", "--after", '{"deltas": [{"branch": 1, "db": -1.0}]}'],
+         4, "pre-modification islands the grid"),
+        (["whatif", "ww", "--mods", "{}", "--enumerate"],
+         2, "error: --enumerate requires a 'switches' entry"),
+        (["flows", "ww", "--shift", "3=abc"], 2, "error: bad --shift value '3=abc'"),
+        (["flows", "ww", "--shift", "3"], 2, "error: bad --shift value '3'"),
+        (["flows", "switched", "--shift", "1000=0.1"], 2, "error: branch 1000: cannot shift a switch"),
+        (["whatif", "ww", "--mods", "{bad"], 2, "error: bad modification JSON"),
+        (["whatif", "ww", "--mods", "[1, 2]"], 2, "error: modification JSON must be an object"),
+        (["whatif", "ww", "--mods", _split(parent="x")], 2, "error: bad split specification"),
+        (["whatif", "ww", "--mods", _split(parent=99)], 2, "error: unknown parent bus 99"),
+        (["whatif", "ww", "--mods", _split(assignments={"3": "left"})],
+         2, "error: branch 3: assignment must be 'parent' or 'new'"),
+        (["whatif", "ww", "--mods", _split(new_bus=3)], 2, "error: new bus id 3 already exists"),
+        (["whatif", "ww", "--mods", '{"deltas": [{"branch": 4, "db": -0.5}, {"branch": 4, "db": -0.3}]}'],
+         2, "error: duplicate branch ids in modification set: [4, 4]"),
+    ],
+    ids=["after-islands", "enumerate-without-switches", "shift-not-a-number",
+         "shift-without-angle", "shift-on-a-switch", "mods-not-json", "mods-not-an-object",
+         "split-parent-not-an-integer", "split-unknown-parent", "split-unknown-side",
+         "split-existing-new-bus", "repeated-delta"],
+)
+def test_input_errors_exit_with_their_code_and_message(argv, code, prefix, tmp_path, capsys):
+    files = _exit_case_files(tmp_path)
+    assert main([files.get(a, a) for a in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(prefix), captured.err
+    assert "Traceback" not in captured.err and not captured.out

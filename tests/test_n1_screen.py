@@ -212,6 +212,47 @@ def test_after_rows_match_whatif_with_the_outage(seed, tmp_path):
     assert checked > 10
 
 
+def _forest_grid(seed, n, forest):
+    """A random grid with three closed switches in the given forest: a star
+    on one bus, a chain, or a chain from the slack (bus 1) plus one apart."""
+    grid = random_grid(seed, n, 2.6)
+    a, b, c, d = (int(v) + 2 for v in np.random.default_rng(seed).choice(n - 1, 4, replace=False))
+    pairs = {
+        "star": [(a, b), (a, c), (a, d)],
+        "chain": [(a, b), (b, c), (c, d)],
+        "slack": [(1, a), (a, b), (c, d)],
+    }[forest]
+    grid, sids = add_switches(grid, pairs)
+    return grid, {"switches": {str(s): "closed" for s in sids}}
+
+
+@pytest.mark.parametrize("forest", ["star", "chain", "slack"])
+@pytest.mark.parametrize("seed", range(2))
+def test_after_rows_match_whatif_on_switch_forests(forest, seed, tmp_path):
+    from gridfactors import grid_to_json
+
+    grid, doc = _forest_grid(seed, 30, forest)
+    _, sys = apply_modifications(grid, doc)
+    assert len(sys.closed_switches) == 3
+    _check_screen(sys)
+    path = tmp_path / "grid.json"
+    path.write_text(grid_to_json(grid))
+    code, rows = _run("n1", path, "--after", json.dumps(doc), "--format", "jsonl")
+    assert code == 0
+    checked = 0
+    for row in rows:
+        if row["islands"] or math.isnan(row["post_max_flow"]):
+            continue
+        outage = {"branch": row["branch"], "db": -grid.branch(row["branch"]).susceptance}
+        mods = json.dumps(dict(doc, deltas=[outage]))
+        code, post = _run("whatif", path, "--mods", mods, "--format", "jsonl")
+        assert code == 0
+        want = max(abs(r["post"]) for r in post)
+        assert row["post_max_flow"] == pytest.approx(want, rel=1e-9, abs=1e-300)
+        checked += 1
+    assert checked > 10
+
+
 # --- hypothesis: reducible grids up to 24 decades of spread ------------------
 
 hypothesis = pytest.importorskip("hypothesis")
