@@ -1,20 +1,20 @@
 """Bus merges and bus splits as limits of rank-one susceptance updates.
 
 Closing an ideal switch merges two buses: the infinite-susceptance limit,
-a column with ``1/s = 0`` of the endpoint kernel ``factors_base._LowRank``
-(``merge_inverse`` and ``switch_flow`` read ``multi_mod.SwitchKernel`` for
-one switch). Opening a busbar coupler (a bus split) is handled through
-three configurations: the merged reference, a padded "closed but not
-merged" inverse obtained by copying the parent row and column, and the
-open topology. The split inverse then follows from a closed-form expression
-that never references the diverging coupler susceptance. The split kernel
-:func:`_split_kernel` is ``_LowRank`` on the open grid's branches at the
-split buses; ``split_criterion``, ``split_inverse``,
-``bsdf_vector``, ``split_ptdf`` and ``lodf_after_split`` are its M = 1
-readers. :class:`ComposedUpdate` rewires moved branches onto idle buses
-instead, so a whole modification set (deltas, closures and splits) is one
-endpoint-kernel update; ``idle_bus_split`` is its splits-only reader and
-the cross-check of the split kernel.
+a column with ``1/s = 0`` of the endpoint kernel ``factors_base._LowRank``.
+:class:`ComposedUpdate` is the one route for closures: it carries a whole
+modification set (deltas, closures and splits, moved branches rewired onto
+idle buses) as one endpoint-kernel update, and ``merge_inverse`` and
+``switch_flow`` reach it through ``multi_mod.SwitchKernel``. Opening a
+busbar coupler (a bus split) also has the three-configuration route: the
+merged reference, a padded "closed but not merged" inverse obtained by
+copying the parent row and column, and the open topology. The split inverse
+follows from a closed-form expression that never references the diverging
+coupler susceptance. Its split kernel :func:`_split_kernel` is ``_LowRank``
+on the open grid's branches at the split buses; ``split_criterion``,
+``split_inverse``, ``bsdf_vector``, ``split_ptdf`` and ``lodf_after_split``
+are its M = 1 readers, and ``idle_bus_split``, the splits-only reader of
+``ComposedUpdate``, is their cross-check.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .grid_model import (
     system_from_inverse,
 )
 from .multi_mod import ModificationSet, SwitchKernel, SwitchStates
-from .single_mod import BranchDelta, _check_delta, lodf_column
+from .single_mod import BranchDelta, _check_delta, _switch_cuts, _switch_flows, lodf_column
 
 PARENT = "parent"
 NEW = "new"
@@ -350,9 +350,12 @@ class ComposedUpdate:
     ends; each tie's removal, which cancels ``grounding_b``.
 
     ``grid`` is the final grid (switches keep their kind); ``switches`` maps
-    switch ids to closed flags (``closed`` lists the closed ones). A branch
-    given two deltas raises GridStructureError, a redundant closing
-    DegenerateSwitchError, a disconnected final grid IslandingError.
+    switch ids to closed flags. ``closed`` lists the reference's closed
+    switches (``sys.closed_switches``, as on a system rebased on an earlier
+    update) and then this update's; both count in the walks. A branch given
+    two deltas raises GridStructureError, a redundant closing
+    DegenerateSwitchError, and a disconnected final grid IslandingError,
+    tested by a walk only when an outage or a split can disconnect it.
     """
 
     def __init__(
@@ -387,9 +390,13 @@ class ComposedUpdate:
             cols.append(e)
             s_inv.append(1.0 / s)
 
-        self.closed = tuple(grid.branches[e].id for e, c in closing.items() if c)
+        self.closed = sys.closed_switches + tuple(s for s, c in (switches or {}).items() if c)
         self.switch_cols = []  # (branch, column) per closed switch
         rewired = {grid.branch_index[b] for r in resolved for b in r.moved}
+        reopened = [s for s in sys.closed_switches
+                    if not (switches or {}).get(s, True) or grid.branch_index[s] in rewired]
+        if reopened:  # opening a closed switch splits the bus it merged
+            raise GridStructureError(f"switches {reopened} are closed in the reference system")
         for e in sorted(rewired | closing.keys() | {grid.branch_index[b] for b in deltas}):
             br, br_o = grid.branches[e], self.grid.branches[e]
             ends = (br_o.from_bus, br_o.to_bus)
@@ -403,40 +410,54 @@ class ComposedUpdate:
             if closing.get(e):
                 self.switch_cols.append((e, len(cols)))
                 column(None if moved else e, np.inf, ends)
+        outage = any(self.grid.branches[grid.branch_index[b]].susceptance == 0.0 for b in deltas)
+        self._may_island = bool(resolved) or outage  # closures and other deltas keep every edge
         for r in resolved:
             column(None, -g, (r.new_bus, grid.slack), g)
         if resolved:
             C = np.pad(sys.B_inv, (0, len(resolved)))
             C[sys.n :, sys.n :] = np.eye(len(resolved)) / g
-            sys = system_from_inverse(Grid(self.grid.buses, grid.branches + tuple(extra)), C)
+            ref_grid = Grid(self.grid.buses, grid.branches + tuple(extra))
+            sys = system_from_inverse(ref_grid, C, sys.closed_switches)
         self.ref = sys
         self.up = _LowRank(sys, cols) if cols else None
         self.s_inv = np.array(s_inv)
 
     def _check(self) -> None:
-        if self.up is not None:
+        if self.switch_cols:
             self.up.check_closings(self.s_inv)
-        _require_connected(self.grid, closed=self.closed, what="modified grid")
+        if self._may_island:
+            _require_connected(self.grid, closed=self.closed, what="modified grid")
+
+    def angles(self, theta_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Final angles ``theta_r - W z`` from reference angles ``theta_r``,
+        and ``z``: the flow over each column's added branch."""
+        self._check()
+        if self.up is None:
+            return theta_r, np.zeros(0)
+        z = self.up.solve(_end_diff(self.up.ends, theta_r), "modification set", self.s_inv)
+        return theta_r - self.up.W @ z, z
 
     def flows(self) -> np.ndarray:
         """Branch flows of the final grid for its own injections and shifts.
 
-        The angles are ``theta_r - W z`` on the reference angles ``theta_r``;
-        ``z`` is the flow over each column's added branch, so a closed
-        switch carries its ``z``.
+        The angles are :meth:`angles` of the reference angles; a switch this
+        update closes carries its ``z``, one the reference closed its flow by
+        Kirchhoff's current law (``single_mod._switch_cuts``).
         """
-        self._check()
         grid, ref = self.grid, self.ref
         shifts = grid.shift_angles()
-        theta = ref.B_inv @ ref.reduce(_shifted_injections(grid, grid.injections(), shifts))
-        z = np.zeros(0)
-        if self.up is not None:
-            z = self.up.solve(_end_diff(self.up.ends, theta), "modification set", self.s_inv)
-            theta = theta - self.up.W @ z
+        theta_r = ref.B_inv @ ref.reduce(_shifted_injections(grid, grid.injections(), shifts))
+        theta, z = self.angles(theta_r)
         ends = _branch_ends(grid, ref.index_map, ref.n)
         f = grid.susceptances() * (_end_diff(ends, theta) + shifts)
         for e, k in self.switch_cols:
             f[e] += z[k]
+        if ref.closed_switches:
+            # the final grid in the reference coordinates; _switch_cuts reads no inverse
+            cuts = _switch_cuts(_system(grid, (ref.index_map, ends), ref.B_inv, self.closed))
+            at = [grid.branch_index[s] for s in ref.closed_switches]
+            f[at] = _switch_flows(f[None, cuts[0]], cuts)[0, : len(at)]
         return f
 
     def inverse(self) -> np.ndarray:

@@ -9,10 +9,10 @@ injections (slack-referenced) to branch flows.
 Every branch susceptance change, finite or ideal, runs on one endpoint
 low-rank kernel, :class:`_LowRank`, with one bracket ``S^-1 + K`` (``1/s =
 0`` for an ideal closure). ``updated_inverse`` and ``lcdf_column`` read it
-for one branch; ``SwitchKernel``, ``outage_factors`` (``K_d`` and its gathers only)
-and ``bus_topology.ComposedUpdate`` (a whole modification set) for M
-branches, and ``bus_topology._split_kernel`` for the branches at the
-split buses of a bus split.
+for one branch; ``bus_topology.ComposedUpdate`` (a whole modification set,
+every switch closure among it), ``SwitchKernel`` (its sweep) and
+``outage_factors`` (``K_d`` and its gathers only) for M branches, and
+``bus_topology._split_kernel`` for the branches at the split buses.
 """
 
 from __future__ import annotations
@@ -268,12 +268,16 @@ class _LowRank:
 
     def check_closings(self, s_inv) -> None:
         """DegenerateSwitchError if an ideal closure (``s_inv == 0``) lies on a
-        cycle of them, by one walk of the closures over the ``n + 1`` grounded
-        buses: before any connectivity test or solve of the update."""
-        closed = np.flatnonzero(np.asarray(s_inv) == 0.0)
-        bridge = _walk(self.sys.n + 1, self.ends[0][closed], self.ends[1][closed])[1]
+        cycle of them and of ``sys.closed_switches``, by one walk on their own
+        buses relabelled ``0..`` (the slack's pad index among them): at most
+        ``2k`` nodes for ``k`` switches, not the ``n + 1`` grounded buses."""
+        sys, closed = self.sys, np.flatnonzero(np.asarray(s_inv) == 0.0)
+        done = [sys.grid.branch_index[s] for s in sys.closed_switches]
+        ends = [np.concatenate([e[done], c[closed]]) for e, c in zip(sys.branch_ends, self.ends)]
+        buses, at = np.unique(np.concatenate(ends), return_inverse=True)
+        bridge = _walk(buses.size, *at.reshape(2, -1))[1][len(done) :]
         if not bridge.all():
-            br = self.sys.grid.branches[self.cols[closed[~bridge][-1]]]
+            br = sys.grid.branches[self.cols[closed[~bridge][-1]]]
             raise DegenerateSwitchError(
                 f"closing switch {br.id} is redundant: its terminals are already "
                 "merged through other closed switches"

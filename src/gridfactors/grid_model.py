@@ -86,7 +86,7 @@ class Branch:
             )
         if self.kind not in _KINDS:
             raise GridStructureError(f"branch {self.id}: unknown kind {self.kind!r}")
-        if not np.isfinite(self.susceptance) or self.susceptance < 0.0:
+        if not math.isfinite(self.susceptance) or self.susceptance < 0.0:
             raise GridStructureError(
                 f"branch {self.id}: susceptance must be finite and >= 0, got {self.susceptance}"
             )

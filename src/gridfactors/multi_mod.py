@@ -5,12 +5,11 @@ A set of susceptance changes is one low-rank update ``B_m = B_r + U S U^T``
 with ``U`` the stacked incidence vectors and ``S`` the diagonal of changes;
 Hager's bracket ``S^-1 + U^T B_r^-1 U`` reduces the new inverse to an
 M x M solve. An ideal switch's change diverges, so its column has
-``1/s = 0`` and the bracket stays finite. ``woodbury_update`` and
-``multi_ptdf`` read ``bus_topology.ComposedUpdate``, imported inside them;
-``SwitchKernel`` solves a setting on its closed switches' kernel (its sweep
-on stacked blocks of its own ``K``); both run on ``factors_base._LowRank``.
-Multi-coupler splits read the split kernel ``bus_topology._split_kernel``,
-``_LowRank`` on the branches at the split buses.
+``1/s = 0`` and the bracket stays finite. ``woodbury_update``,
+``multi_ptdf`` and ``SwitchKernel``'s settings read the one closure route,
+``bus_topology.ComposedUpdate``, imported inside them; only the sweep runs
+on stacked blocks of the kernel's own ``K``. Multi-coupler splits read the
+split kernel ``bus_topology._split_kernel``.
 """
 
 from __future__ import annotations
@@ -101,8 +100,8 @@ class SwitchKernel(_LowRank):
     """Closure kernel ``K = U^T B_r^-1 U`` and its diagonal ``K_d`` for one
     switch list: the endpoint kernel on the switches' incidence columns.
 
-    Built once against the all-open reference; one setting's update runs on
-    the kernel of its closed switches alone, :meth:`sweep` on this one.
+    Built once against the all-open reference; one setting is a
+    ``ComposedUpdate`` of its closures, :meth:`sweep` runs on this kernel.
     """
 
     def __init__(self, sys: GroundedSystem, switches: Sequence[int]):
@@ -128,42 +127,32 @@ class SwitchKernel(_LowRank):
             )
         return np.array([1.0 if c else 0.0 for c in states.closed])
 
-    def merged_inverse(self, states: SwitchStates) -> np.ndarray:
-        """Reference inverse updated for the given switch closures.
+    def _update(self, states: SwitchStates):
+        """The setting's ``bus_topology.ComposedUpdate`` and closed flags, after :meth:`xi`."""
+        from .bus_topology import ComposedUpdate
 
-        ``B_m^-1 = B_r^-1 - W_c K_cc^-1 W_c^T`` on the closed switches ``c``:
-        the bracket ``S^-1 + K`` with ``1/s = 0`` on each closed column and
-        the open ones left out. With nothing closed this is the reference
-        inverse itself.
-        """
-        closed = np.flatnonzero(self.xi(states))
-        if not closed.size:
-            return self.sys.B_inv
-        up = _LowRank(self.sys, self.cols[closed])
-        up.check_closings(np.zeros(closed.size))
-        return up.updated("multi-switch merge", np.zeros(closed.size))
+        closed = self.xi(states) == 1.0
+        return ComposedUpdate(self.sys, switches=dict(zip(self.switches, closed))), closed
+
+    def merged_inverse(self, states: SwitchStates) -> np.ndarray:
+        """Reference inverse updated for the given switch closures: the update's
+        ``B_r^-1 - W_c K_cc^-1 W_c^T`` on the closed switches ``c``, or the
+        reference inverse itself with nothing closed."""
+        return self._update(states)[0].inverse()
 
     def merged_angles(
         self, states: SwitchStates, theta: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Angles after the given switch closures, and the flows over the switches.
-
-        ``theta`` holds the reference angles ``B_r^-1 p`` for some injections
-        ``p``. With ``z = K_cc^-1 U_c^T theta`` on the closed switches ``c``
-        the merged angles are ``theta - W_c z``, and ``z`` is the flow over
-        each closed switch (from bus to to bus; zero for open ones): the
-        ideal limit of ``(S^-1 + K)^-1 U^T theta`` for switch susceptances
-        ``S``. One solve on the closed block, no n x n inverse.
-        """
-        closed = np.flatnonzero(self.xi(states))
-        theta = np.asarray(theta, dtype=float)
+        """Angles ``theta - W_c z`` after the given closures, from reference angles
+        ``theta = B_r^-1 p``, and the flow over each switch (from bus to to bus;
+        zero for open ones): ``z = K_cc^-1 U_c^T theta`` on the closed switches
+        ``c``. One solve on the closed block, no n x n inverse."""
+        up, closed = self._update(states)
+        theta, z = up.angles(np.asarray(theta, dtype=float))
         y = np.zeros(len(self.switches))
-        if not closed.size:
-            return theta, y
-        up = _LowRank(self.sys, self.cols[closed])
-        up.check_closings(np.zeros(closed.size))
-        y[closed] = up.solve(_end_diff(up.ends, theta), "multi-switch merge", np.zeros(closed.size))
-        return theta - up.W @ y[closed], y
+        at = dict(up.switch_cols)
+        y[closed] = [z[at[e]] for e in self.cols[closed].tolist()]
+        return theta, y
 
     def sweep(
         self, theta: np.ndarray, f0: np.ndarray, block_bytes: int
@@ -171,9 +160,10 @@ class SwitchKernel(_LowRank):
         """Closed flags (settings x M, ``itertools.product`` order), largest
         |flow| and islanding flag of every setting, from reference angles and
         flows. Per block of about ``block_bytes`` the brackets hold ``K`` on
-        the closed entries and identity rows and columns on the open ones, so
-        the closed pivots are bit for bit those :meth:`merged_angles` judges;
-        one solve gives the closure flows ``Z``, one product ``f0 - Z P^T``.
+        the closed entries and identity rows and columns on the open ones, in
+        branch-position order as in ``ComposedUpdate``, so the closed pivots
+        are bit for bit those :meth:`merged_angles` judges; one solve gives
+        the closure flows ``Z``, one product ``f0 - Z P^T``.
         """
         M, m = len(self.switches), len(f0)
         closed = np.empty((2**M, M), dtype=bool)
@@ -182,15 +172,17 @@ class SwitchKernel(_LowRank):
         peak, islands = np.full(2**M, np.nan), np.ones(2**M, dtype=bool)
         if self.degenerate.any():  # merged_angles raises for every setting
             return closed, peak, islands
-        K, u = self.K, _end_diff(self.ends, np.asarray(theta, dtype=float))
+        order = np.argsort(self.cols, kind="stable")
+        K = self.K[np.ix_(order, order)]
+        u = _end_diff(self.ends, np.asarray(theta, dtype=float))[order]
         if not (np.isfinite(K).all() and np.isfinite(u).all()):
             raise ValueError("array must not contain infs or NaNs")
-        neg_P, eye = self.at_ends(self.sys.branch_ends), np.eye(M)  # P = diag(b) E^T W
+        neg_P, eye = self.at_ends(self.sys.branch_ends, order), np.eye(M)  # P = diag(b) E^T W
         neg_P *= -self.sys.b
         block = max(1, block_bytes // (8 * (m + M * M)))
         for start in range(0, 2**M, block):
             at = slice(start, min(start + block, 2**M))
-            c = closed[at]
+            c = closed[at][:, order]
             cc = c[:, :, None] & c[:, None, :]
             A = np.where(cc, K, eye)
             # guarded_solve's rule on each closed block, its scale max |K_cc|
@@ -204,7 +196,7 @@ class SwitchKernel(_LowRank):
             F += f0
             # a closed entry carries its own flow plus the closure's; an open
             # one (a line or PST listed as a switch) has a zero closure flow
-            F[:, self.cols] += Z
+            F[:, self.cols[order]] += Z
             peak[at] = np.abs(F, out=F).max(axis=1)
             peak[at][bad] = np.nan
             islands[at] = bad

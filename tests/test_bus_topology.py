@@ -575,3 +575,71 @@ def test_composed_update_refuses_a_repeated_delta():
     sys = build_grounded_system(random_grid(3, 12, 2.6))
     with pytest.raises(GridStructureError, match=r"duplicate branch ids .*\[4, 4\]"):
         ComposedUpdate(sys, [(4, -0.5), (4, -0.3)])
+
+
+def _rebased(grid, closed):
+    """The base system of ``grid`` and the system that closing ``closed`` leaves."""
+    from gridfactors.bus_topology import ComposedUpdate
+
+    base = build_grounded_system(grid)
+    up = ComposedUpdate(base, switches={s: True for s in closed})
+    return base, system_from_inverse(up.grid, up.inverse(), up.closed)
+
+
+def test_composed_update_on_a_rebased_system():
+    # switch 13 closes the ring: lines 10 and 12 with it keep the grid
+    # connected when line 11 goes out, and it carries flow after a delta
+    from gridfactors import DegenerateSwitchError
+    from gridfactors.bus_topology import ComposedUpdate
+
+    buses = (Bus(1, 0.0, is_slack=True), Bus(2, 0.5), Bus(3, -0.2), Bus(4, -0.3))
+    lines = tuple(Branch(i, i - 9, i - 8, b) for i, b in ((10, 1.0), (11, 2.0), (12, 1.5)))
+    grid, _ = add_switches(Grid(buses, lines), [(4, 1), (1, 4)], first_id=13)
+    base, sys1 = _rebased(grid, [13])
+    assert sys1.closed_switches == (13,)
+    got = ComposedUpdate(sys1, deltas=[(11, -2.0)]).flows()
+    np.testing.assert_allclose(got[:4], [-0.5, 0.0, -0.2, -0.5], rtol=0, atol=1e-12)
+    for deltas in ([(10, 0.5)], [(11, -2.0)], [(10, 0.5), (12, -0.7)]):
+        chained = ComposedUpdate(sys1, deltas=deltas).flows()
+        one_shot = ComposedUpdate(base, deltas, {13: True}).flows()
+        np.testing.assert_allclose(chained, one_shot, rtol=1e-12, atol=1e-15)
+        ref = rebuild_and_solve(grid, deltas=deltas, closed_switches=[13]).flow.flows
+        np.testing.assert_allclose(chained, ref, rtol=0, atol=1e-6)
+    assert ComposedUpdate(sys1, deltas=[(10, 0.5)]).flows()[3] == pytest.approx(-0.245455, abs=1e-6)
+    with pytest.raises(DegenerateSwitchError, match="closing switch 14 is redundant"):
+        ComposedUpdate(sys1, switches={14: True}).flows()
+    # reopening 13, by its setting or by a split that moves it, would split the merged bus
+    moving = SplitSpec(parent_bus=4, assignments={12: "new", 13: "new"}, injection_to_new=-0.1)
+    for kwargs in ({"switches": {13: False}}, {"splits": [moving]}):
+        with pytest.raises(GridStructureError, match=r"switches \[13\] are closed in the ref"):
+            ComposedUpdate(sys1, **kwargs)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_chained_closures_and_deltas_equal_the_one_shot_update(seed):
+    from gridfactors import DegenerateSwitchError
+    from gridfactors.bus_topology import ComposedUpdate
+
+    n, rng = 30, np.random.default_rng(seed)
+    pairs = [tuple(int(b) for b in rng.choice(n, 2, replace=False) + 1) for _ in range(3)]
+    grid, sids = add_switches(random_grid(seed, n, 2.6), pairs + [pairs[0][::-1]])
+    base, sys1 = _rebased(grid, sids[:2])
+    lines = [br for br in grid.branches if br.kind == "line"]
+    picked = rng.choice(len(lines), 3, replace=False)
+    deltas = [(lines[i].id, f * lines[i].susceptance) for i, f in zip(picked, (-1.0, -0.5, 0.7))]
+    chained = ComposedUpdate(sys1, deltas, {sids[2]: True})
+    one_shot = ComposedUpdate(base, deltas, {s: True for s in sids[:3]})
+    try:
+        want = one_shot.flows()
+    except IslandingError as exc:
+        assert exc.components is not None
+        with pytest.raises(IslandingError) as got:
+            chained.flows()
+        assert got.value.components == exc.components
+    else:
+        got = chained.flows()
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * np.abs(want).max())
+        ref = rebuild_and_solve(grid, deltas=deltas, closed_switches=sids[:3]).flow.flows
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-5 * np.abs(ref).max())
+    with pytest.raises(DegenerateSwitchError, match=f"closing switch {sids[3]} is redundant"):
+        ComposedUpdate(sys1, switches={sids[3]: True}).inverse()

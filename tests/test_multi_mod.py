@@ -197,6 +197,42 @@ def test_redundant_closing_diagnosed():
         multi_merge_inverse(sys, states)
 
 
+def test_redundant_closing_through_the_slack_diagnosed():
+    # the pair runs to the slack bus 3, whose pad index is one of the
+    # closures' relabelled buses
+    grid, sids = add_switches(triangle(), [(1, 3), (3, 1)])
+    sys = build_grounded_system(grid)
+    states = SwitchStates(switches=sids, closed=(True, True))
+    with pytest.raises(DegenerateSwitchError, match=f"closing switch {sids[-1]} is redundant"):
+        multi_merge_inverse(sys, states)
+    for one in ((True, False), (False, True)):
+        assert np.isfinite(multi_merge_inverse(sys, SwitchStates(sids, one))).all()
+
+
+def test_redundancy_walk_visits_only_the_closures_buses(monkeypatch):
+    from gridfactors import factors_base
+    from gridfactors.bus_topology import ComposedUpdate
+
+    nodes = []
+
+    def counting(n, frm, to):
+        nodes.append(n)
+        return walk(n, frm, to)
+
+    walk = factors_base._walk
+    monkeypatch.setattr(factors_base, "_walk", counting)
+    grid, sids = add_switches(random_grid(4, 300, 2.6), [(1, 40), (7, 90), (120, 250)])
+    sys = build_grounded_system(grid)
+    for bits in itertools.product((False, True), repeat=3):
+        k = sum(bits)
+        nodes.clear()
+        multi_merge_inverse(sys, SwitchStates(sids, bits))
+        SwitchKernel(sys, sids).merged_angles(SwitchStates(sids, bits), solve_flow(sys).angles)
+        ComposedUpdate(sys, [(5, 0.3)], dict(zip(sids, bits))).flows()
+        assert len(nodes) == (3 if k else 0)
+        assert max(nodes, default=0) <= 2 * k + 1, (bits, nodes)
+
+
 # --- multi-coupler splits ------------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 its stacked pivots and its memory."""
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,6 +73,20 @@ def test_sweep_equals_per_setting_loop(seed, n_buses, n_switches):
     want = _loop(grid, sids)
     assert want[2].any() and not want[2].all()  # the parallel pair islands some
     _assert_same(_batch(grid, sids), want)
+
+
+@pytest.mark.parametrize("seed, n_buses, n_switches", [(3, 14, 4), (21, 30, 6), (34, 60, 7)])
+def test_sweep_equals_per_setting_loop_with_ids_out_of_branch_order(seed, n_buses, n_switches):
+    # ids fall as branch positions rise, so the listed (sorted) switches run
+    # against the per-setting route's branch-position order
+    grid, sids = sweep_grid(seed, n_buses, n_switches)
+    renumber = {s: 2000 - k for k, s in enumerate(sids)}
+    branches = tuple(replace(br, id=renumber.get(br.id, br.id)) for br in grid.branches)
+    grid = Grid(buses=grid.buses, branches=branches)
+    listed = tuple(sorted(renumber.values()))
+    want = _loop(grid, listed)
+    assert want[2].any() and not want[2].all()
+    _assert_same(_batch(grid, listed), want)
 
 
 def test_sweep_with_lines_and_a_pst_listed_as_switches():
@@ -206,3 +221,21 @@ def test_bracket_at_roundoff_against_its_largest_entry_islands():
         kernel.merged_angles(both, np.zeros(3))
     for one in ((True, False), (False, True)):
         kernel.merged_angles(SwitchStates(sids, one), np.zeros(3))
+
+
+def test_sweep_judges_each_bracket_in_branch_order():
+    # in branch order K = [[a, b], [b, 1]] with b = 1e-3 and a - b^2 = 1e-12:
+    # LU pivots 1e-3 and 1e-9, kept; listed the other way round they would be
+    # 1 and 1e-12, refused. The per-setting route orders by branch position,
+    # and the sweep's flags must follow it whatever order the switches are listed in
+    buses = tuple(Bus(id=i, injection=0.0, is_slack=i == 1) for i in range(1, 5))
+    lines = tuple(Branch(id=i, from_bus=i, to_bus=i + 1, susceptance=1.0) for i in range(1, 4))
+    grid, sids = add_switches(Grid(buses=buses, branches=lines), [(2, 3), (4, 1)])
+    X = np.zeros((3, 3))
+    X[0, 0], X[2, 2] = 1e-6 + 1e-12, 1.0
+    X[0, 2] = X[2, 0] = 1e-3
+    for listed in (sids, sids[::-1]):
+        kernel = SwitchKernel(system_from_inverse(grid, X), listed)
+        closed, peak, islands = kernel.sweep(np.zeros(3), np.zeros(grid.n_branches), N1_BLOCK_BYTES)
+        assert not islands.any()
+        kernel.merged_angles(SwitchStates(listed, (True, True)), np.zeros(3))
