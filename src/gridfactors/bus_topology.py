@@ -2,9 +2,9 @@
 
 Closing an ideal switch merges two buses: the infinite-susceptance limit,
 a column with ``1/s = 0`` of the endpoint kernel ``factors_base._LowRank``.
-:class:`ComposedUpdate` is the one route for closures: it carries a whole
-modification set (deltas, closures and splits, moved branches rewired onto
-idle buses) as one endpoint-kernel update, and ``merge_inverse`` and
+:class:`ComposedUpdate` is the one route for closures: one endpoint-kernel
+update for a whole modification set (deltas, closures, splits) on one record,
+the final grid's system over the reference inverse; ``merge_inverse`` and
 ``switch_flow`` reach it through ``multi_mod.SwitchKernel``. Opening a
 busbar coupler (a bus split) also has the three-configuration route: the
 merged reference, a padded "closed but not merged" inverse obtained by
@@ -38,18 +38,15 @@ from .factors_base import (
 )
 from .grid_model import (
     SWITCH,
-    Branch,
     Bus,
     Grid,
     GroundedSystem,
     _branch_col,
-    _branch_ends,
     _grounded_coords,
     _grounded_laplacian,
     _incidence,
     _require_connected,
     _system,
-    system_from_inverse,
 )
 from .multi_mod import ModificationSet, SwitchKernel, SwitchStates
 from .single_mod import BranchDelta, _check_delta, _switch_cuts, _switch_flows, lodf_column
@@ -342,12 +339,17 @@ class ComposedUpdate:
 
     The reference grid is the base grid with each split's new bus idle, tied
     to the slack by a branch of susceptance ``grounding_b`` (by default the
-    grid's largest susceptance), so its inverse is the base inverse padded
-    with ``1 / grounding_b``. One bracket ``S^-1 + K`` of
-    ``factors_base._LowRank`` on it carries a column per change: a delta on
-    an unmoved branch; a moved branch's outage at its old ends and its copy
-    at its new ends; a closed switch (or line), ``1/s = 0`` at its final
-    ends; each tie's removal, which cancels ``grounding_b``.
+    grid's largest susceptance), so its inverse ``C`` is the base inverse
+    padded with ``1 / grounding_b``. The one record ``_sys`` is the final
+    grid's system over ``C``, in the final grid's coordinates (the base
+    system's own when nothing splits); only its coordinates, ``b`` and
+    ``reduce`` are the final grid's, as its ``B_inv`` is ``C``. One bracket
+    ``S^-1 + K`` of ``factors_base._LowRank`` on it carries a column per
+    change, each a pair of ends there: a delta on an unmoved branch; a moved
+    branch's outage at its base ends (the slack's pad moved from ``n`` to
+    ``n_o``) and its copy at its new ends; a closed switch (or line),
+    ``1/s = 0``; each tie's removal at ``(n + k, n_o)``, which cancels
+    ``grounding_b``.
 
     ``grid`` is the final grid (switches keep their kind); ``switches`` maps
     switch ids to closed flags. ``closed`` lists the reference's closed
@@ -380,14 +382,17 @@ class ComposedUpdate:
         )
         self.grid, resolved = _apply_splits(Grid(grid.buses, branches) if deltas else grid, splits)
         g = grounding_b or float(sys.b.max(initial=0.0)) or 1.0
-        first_id = max(self.grid.branch_ids, default=0) + 1
-        cols, s_inv, extra = [], [], []  # extra: reference branches past the base grid's
+        n, n_o = sys.n, sys.n + len(resolved)
+        C, coords = sys.B_inv, (sys.index_map, sys.branch_ends)
+        if resolved:  # the new buses follow the base rows, in C and in the coordinates
+            C = np.pad(sys.B_inv, (0, len(resolved)))
+            C[n:, n:] = np.eye(len(resolved)) / g
+            coords = _grounded_coords(self.grid)
+        self._sys = _system(self.grid, coords, C, sys.closed_switches)
+        cols, s_inv = [], []  # (branch position, from, to) and 1/s per column
 
-        def column(e: int | None, s: float, ends=(), b: float = 0.0) -> None:
-            if e is None:  # a new reference branch at ``ends``
-                e = grid.n_branches + len(extra)
-                extra.append(Branch(first_id + len(extra), *ends, b))
-            cols.append(e)
+        def column(e: int, s: float, ends) -> None:
+            cols.append((e, *ends))
             s_inv.append(1.0 / s)
 
         self.closed = sys.closed_switches + tuple(s for s, c in (switches or {}).items() if c)
@@ -398,29 +403,22 @@ class ComposedUpdate:
         if reopened:  # opening a closed switch splits the bus it merged
             raise GridStructureError(f"switches {reopened} are closed in the reference system")
         for e in sorted(rewired | closing.keys() | {grid.branch_index[b] for b in deltas}):
-            br, br_o = grid.branches[e], self.grid.branches[e]
-            ends = (br_o.from_bus, br_o.to_bus)
-            moved = (br.from_bus, br.to_bus) != ends
-            if moved and sys.b[e] > 0.0:
-                column(e, -sys.b[e])
-            if moved and br_o.effective_susceptance > 0.0:
-                column(None, br_o.effective_susceptance, ends)
-            if not moved and deltas.get(br.id):
-                column(e, deltas[br.id])
+            ends = [x[e] for x in self._sys.branch_ends]
+            if e in rewired and sys.b[e] > 0.0:  # the old ends, the slack's pad moved to n_o
+                column(e, -sys.b[e], [n_o if x[e] == n else x[e] for x in sys.branch_ends])
+            if e in rewired and self._sys.b[e] > 0.0:
+                column(e, self._sys.b[e], ends)
+            if e not in rewired and deltas.get(grid.branches[e].id):
+                column(e, deltas[grid.branches[e].id], ends)
             if closing.get(e):
                 self.switch_cols.append((e, len(cols)))
-                column(None if moved else e, np.inf, ends)
-        outage = any(self.grid.branches[grid.branch_index[b]].susceptance == 0.0 for b in deltas)
+                column(e, np.inf, ends)
+        outage = any(self._sys.b[grid.branch_index[b]] == 0.0 for b in deltas)
         self._may_island = bool(resolved) or outage  # closures and other deltas keep every edge
-        for r in resolved:
-            column(None, -g, (r.new_bus, grid.slack), g)
-        if resolved:
-            C = np.pad(sys.B_inv, (0, len(resolved)))
-            C[sys.n :, sys.n :] = np.eye(len(resolved)) / g
-            ref_grid = Grid(self.grid.buses, grid.branches + tuple(extra))
-            sys = system_from_inverse(ref_grid, C, sys.closed_switches)
-        self.ref = sys
-        self.up = _LowRank(sys, cols) if cols else None
+        for k in range(len(resolved)):
+            column(-1, -g, (n + k, n_o))  # a tie is no branch of the final grid
+        pos, *ends = np.array(cols, dtype=np.intp).reshape(-1, 3).T
+        self.up = _LowRank(self._sys, pos, tuple(ends)) if cols else None
         self.s_inv = np.array(s_inv)
 
     def _check(self) -> None:
@@ -445,18 +443,16 @@ class ComposedUpdate:
         update closes carries its ``z``, one the reference closed its flow by
         Kirchhoff's current law (``single_mod._switch_cuts``).
         """
-        grid, ref = self.grid, self.ref
+        grid, rec = self.grid, self._sys
         shifts = grid.shift_angles()
-        theta_r = ref.B_inv @ ref.reduce(_shifted_injections(grid, grid.injections(), shifts))
+        theta_r = rec.B_inv @ rec.reduce(_shifted_injections(grid, grid.injections(), shifts))
         theta, z = self.angles(theta_r)
-        ends = _branch_ends(grid, ref.index_map, ref.n)
-        f = grid.susceptances() * (_end_diff(ends, theta) + shifts)
+        f = rec.b * (_end_diff(rec.branch_ends, theta) + shifts)
         for e, k in self.switch_cols:
             f[e] += z[k]
-        if ref.closed_switches:
-            # the final grid in the reference coordinates; _switch_cuts reads no inverse
-            cuts = _switch_cuts(_system(grid, (ref.index_map, ends), ref.B_inv, self.closed))
-            at = [grid.branch_index[s] for s in ref.closed_switches]
+        if rec.closed_switches:
+            cuts = _switch_cuts(rec, self.closed)  # reads no inverse
+            at = [grid.branch_index[s] for s in rec.closed_switches]
             f[at] = _switch_flows(f[None, cuts[0]], cuts)[0, : len(at)]
         return f
 
@@ -464,7 +460,7 @@ class ComposedUpdate:
         """The final grid's grounded inverse, ``B_r^-1 - W (S^-1 + K)^-1 W^T``."""
         self._check()
         if self.up is None:
-            return self.ref.B_inv
+            return self._sys.B_inv
         return self.up.updated("modification set", self.s_inv)
 
 

@@ -33,8 +33,9 @@ from .grid_model import (
     SWITCH,
     Grid,
     GroundedSystem,
+    _system,
     build_grounded_system,
-    system_from_inverse,
+    system_from_inverse,  # noqa: F401 -- kept importable as cli.system_from_inverse
 )
 
 if TYPE_CHECKING:
@@ -260,7 +261,8 @@ def apply_modifications(grid: Grid, doc: dict):
     one :class:`ComposedUpdate` of the base inverse: no refactorization.
     """
     up = _composed_update(doc, build_grounded_system(grid))
-    return up.grid, system_from_inverse(up.grid, up.inverse(), up.closed)
+    coords = (up._sys.index_map, up._sys.branch_ends)
+    return up.grid, _system(up.grid, coords, up.inverse(), up.closed)
 
 
 def cmd_whatif(args) -> int:

@@ -201,13 +201,14 @@ class _LowRank:
     Hager's rank-M update (W. W. Hager, "Updating the inverse of a matrix",
     SIAM Review 31(2), 1989) for the changes ``S``; an ideal closure is the
     column with ``1/s = 0``, the limit as its susceptance diverges, so the
-    bracket stays finite.
+    bracket stays finite. ``ends``, the columns' grounded endpoints, default
+    to those of the branches ``cols`` of ``sys``; ``ComposedUpdate`` passes its own.
     """
 
-    def __init__(self, sys: GroundedSystem, cols):
+    def __init__(self, sys: GroundedSystem, cols, ends=None):
         self.sys = sys
         self.cols = cols = np.asarray(cols, dtype=np.intp)
-        self.ends = (sys.branch_ends[0][cols], sys.branch_ends[1][cols])
+        self.ends = ends or (sys.branch_ends[0][cols], sys.branch_ends[1][cols])
 
     @cached_property
     def Wt(self) -> np.ndarray:
@@ -267,10 +268,10 @@ class _LowRank:
         return self.sys.B_inv - self.W @ self.solve(self.W.T, context, s_inv)
 
     def check_closings(self, s_inv) -> None:
-        """DegenerateSwitchError if an ideal closure (``s_inv == 0``) lies on a
-        cycle of them and of ``sys.closed_switches``, by one walk on their own
-        buses relabelled ``0..`` (the slack's pad index among them): at most
-        ``2k`` nodes for ``k`` switches, not the ``n + 1`` grounded buses."""
+        """DegenerateSwitchError, naming the branch at its column's position in
+        ``cols``, if an ideal closure (``s_inv == 0``) lies on a cycle of them and
+        of ``sys.closed_switches``: one walk on their own buses relabelled ``0..``
+        (the slack's pad among them), at most ``2k`` nodes for ``k`` switches."""
         sys, closed = self.sys, np.flatnonzero(np.asarray(s_inv) == 0.0)
         done = [sys.grid.branch_index[s] for s in sys.closed_switches]
         ends = [np.concatenate([e[done], c[closed]]) for e, c in zip(sys.branch_ends, self.ends)]

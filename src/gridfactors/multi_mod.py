@@ -59,7 +59,7 @@ def multi_ptdf(sys: GroundedSystem, mods: ModificationSet) -> FactorMatrix:
     from .bus_topology import ComposedUpdate
 
     up = ComposedUpdate(sys, mods.entries)
-    return _wrap_ptdf(sys, up.inverse(), up.grid.susceptances())
+    return _wrap_ptdf(sys, up.inverse(), up._sys.b)
 
 
 # --- multi-switch merges ------------------------------------------------------

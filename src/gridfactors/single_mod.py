@@ -162,8 +162,8 @@ PEAK_ROWS = 16
 _EPS = np.finfo(float).eps
 
 
-def _switch_cuts(sys: GroundedSystem):
-    """Kirchhoff's current law across each closed switch of ``sys``.
+def _switch_cuts(sys: GroundedSystem, closed=()):
+    """Kirchhoff's current law across each of ``closed`` (default ``sys.closed_switches``).
 
     The closed switches form a forest (a redundant closing is refused), so
     cutting switch ``s`` out of it leaves the buses ``A`` that the other
@@ -177,7 +177,7 @@ def _switch_cuts(sys: GroundedSystem):
     without closed switches.
     """
     grid = sys.grid
-    sw = np.array([grid.branch_index[s] for s in sys.closed_switches], dtype=np.intp)
+    sw = np.array([grid.branch_index[s] for s in closed or sys.closed_switches], dtype=np.intp)
     if not sw.size:
         return None
     frm, to = sys.branch_ends

@@ -615,6 +615,68 @@ def test_composed_update_on_a_rebased_system():
             ComposedUpdate(sys1, **kwargs)
 
 
+def _ring_with_parallel_switches():
+    """Ring 1-2-3-4 (lines 10-13, bus 1 the slack) and switches 20, 21, both 2-4."""
+    buses = (Bus(1, 0.0, is_slack=True), Bus(2, 0.5), Bus(3, -0.2), Bus(4, -0.3))
+    lines = (Branch(10, 1, 2, 1.0), Branch(11, 2, 3, 2.0), Branch(12, 3, 4, 1.5),
+             Branch(13, 4, 1, 1.0))
+    return add_switches(Grid(buses, lines), [(2, 4), (2, 4)], first_id=20)[0]
+
+
+def test_redundant_closing_at_moved_ends_names_the_switch():
+    # the split moves both switches onto the new bus; the error names switch
+    # 21 with the split as without it, not a column of the update
+    from gridfactors import DegenerateSwitchError
+    from gridfactors.bus_topology import ComposedUpdate
+
+    sys = build_grounded_system(_ring_with_parallel_switches())
+    split = SplitSpec(parent_bus=2, assignments={10: "new", 20: "new", 21: "new"},
+                      injection_to_new=0.1)
+    for splits in ([], [split]):
+        up = ComposedUpdate(sys, switches={20: True, 21: True}, splits=splits)
+        for read in (up.flows, up.inverse):
+            with pytest.raises(DegenerateSwitchError, match="closing switch 21 is redundant"):
+                read()
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_an_update_makes_one_coordinate_pass(split, monkeypatch):
+    # the final grid's grounded coordinates are computed once, and only for
+    # a split: without one they are the base system's own
+    from gridfactors import bus_topology, cli, grid_model, multi_mod, pst, single_mod
+    from gridfactors.bus_topology import ComposedUpdate
+
+    real, calls = grid_model._branch_ends, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for mod in (grid_model, bus_topology, cli, multi_mod, pst, single_mod):
+        if getattr(mod, "_branch_ends", None) is real:
+            monkeypatch.setattr(mod, "_branch_ends", counted)
+    grid = _ring_with_parallel_switches()
+    sys = build_grounded_system(grid)
+    spec = SplitSpec(parent_bus=2, assignments={10: "new", 20: "new"}, injection_to_new=0.1)
+    calls.clear()
+    up = ComposedUpdate(sys, [(12, -0.5)], {20: True}, [spec] if split else [])
+    flows, inverse = up.flows(), up.inverse()
+    assert len(calls) == split
+    ref = rebuild_and_solve(grid, deltas=[(12, -0.5)], closed_switches=[20],
+                            splits=[spec] if split else [])
+    np.testing.assert_allclose(flows, ref.flow.flows, rtol=0, atol=1e-6)
+    doc = {"deltas": [{"branch": 12, "db": -0.5}], "switches": {"20": "closed"}}
+    if split:
+        doc["splits"] = [{"parent": 2, "assignments": {"10": "new", "20": "new"},
+                          "injection_to_new": 0.1}]
+    calls.clear()
+    grid_m, sys_m = cli.apply_modifications(grid, doc)
+    assert len(calls) == 1 + split  # the base build's pass, and the update's
+    assert np.array_equal(sys_m.B_inv, inverse)
+    for got, want in zip(sys_m.branch_ends, grid_model._grounded_coords(grid_m)[1]):
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_chained_closures_and_deltas_equal_the_one_shot_update(seed):
     from gridfactors import DegenerateSwitchError
