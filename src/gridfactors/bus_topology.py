@@ -20,7 +20,6 @@ are its M = 1 readers, and ``idle_bus_split``, the splits-only reader of
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -43,8 +42,6 @@ from .grid_model import (
     GroundedSystem,
     _branch_col,
     _grounded_coords,
-    _grounded_laplacian,
-    _incidence,
     _require_connected,
     _system,
 )
@@ -170,9 +167,9 @@ class TriConfig:
     rows/columns are identical copies; ``U`` stacks the coupler incidence
     vectors, one column per split. ``sys_c`` is the one stored record of
     the open grid: ``bus_ids_o``, ``index_map_o``, ``ends_o`` (the slack on
-    the pad index ``n_o``), ``b_o`` and ``B_c_inv`` are read from it. The
-    open grid's incidence ``E_o_r`` and grounded matrix ``B_o`` are built
-    on first read.
+    the pad index ``n_o``), ``b_o`` and ``B_c_inv`` are read from it, and
+    so are the open grid's incidence ``E_o_r`` and grounded matrix ``B_o``,
+    built on first read.
     """
 
     grid_o: Grid
@@ -185,9 +182,8 @@ class TriConfig:
     ends_o = property(lambda t: t.sys_c.branch_ends)
     b_o = property(lambda t: t.sys_c.b)
     B_c_inv = property(lambda t: t.sys_c.B_inv)
-
-    E_o_r = cached_property(lambda t: _incidence(t.ends_o, len(t.bus_ids_o)))
-    B_o = cached_property(lambda t: _grounded_laplacian(t.ends_o, t.b_o, len(t.bus_ids_o)))
+    E_o_r = property(lambda t: t.sys_c.E_r)
+    B_o = property(lambda t: t.sys_c.B)
 
     @property
     def n_splits(self) -> int:
@@ -429,7 +425,11 @@ class ComposedUpdate:
 
     def angles(self, theta_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Final angles ``theta_r - W z`` from reference angles ``theta_r``,
-        and ``z``: the flow over each column's added branch."""
+        and ``z``: the flow over each column's added branch. ``theta_r`` is
+        over the reference coordinates, the base rows then one per split."""
+        theta_r, n = np.asarray(theta_r, dtype=float), self._sys.n
+        if theta_r.shape != (n,):
+            raise GridStructureError(f"theta_r has shape {theta_r.shape}, expected ({n},)")
         self._check()
         if self.up is None:
             return theta_r, np.zeros(0)

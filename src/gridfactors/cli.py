@@ -35,7 +35,6 @@ from .grid_model import (
     GroundedSystem,
     _system,
     build_grounded_system,
-    system_from_inverse,  # noqa: F401 -- kept importable as cli.system_from_inverse
 )
 
 if TYPE_CHECKING:

@@ -19,8 +19,9 @@ inverted through the Cholesky factor ``B = L L^T`` that proves it positive
 definite: ``B^-1 = L^-T L^-1`` (LAPACK's potrf, trtri, lauum route;
 Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 14). The
 eliminated buses' rows of the inverse then follow from the core's in
-reverse elimination order. The full ``B`` and its factor are built only
-when read.
+reverse elimination order. :class:`GroundedSystem` records only the
+grid, that inverse and the closed switches; the full ``B``, its factor and
+every other derived array are cached reads of them, built only when read.
 """
 
 from __future__ import annotations
@@ -479,69 +480,43 @@ def build_incidence(grid: Grid) -> IncidenceMatrix:
     )
 
 
-class _Lazy:
-    """Dataclass field given as ``None`` and built by ``build(obj)`` on first
-    read; a build that yields ``None`` is kept too, and not repeated."""
-
-    def __init__(self, build):
-        self.build = build
-
-    def __set_name__(self, owner, name):
-        self.key = "_lazy_" + name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            raise AttributeError(self.key)  # no default: the field stays required
-        if self.key not in obj.__dict__:
-            obj.__dict__[self.key] = self.build(obj)
-        return obj.__dict__[self.key]
-
-    def __set__(self, obj, value):
-        if value is not None:
-            obj.__dict__[self.key] = value
-
-
-def _cholesky_or_none(sys: GroundedSystem) -> tuple | None:
-    """``(L, True)`` for the lower Cholesky factor ``L`` of ``sys.B``; ``None``
-    when that ``B`` is not positive definite."""
-    try:
-        return np.linalg.cholesky(sys.B), True
-    except np.linalg.LinAlgError:
-        return None
-
-
 @dataclass(frozen=True, eq=False)
 class GroundedSystem:
-    """Grounded nodal susceptance matrix, its dense inverse, and bookkeeping.
+    """A grid's dense grounded inverse: the one record every kernel reads.
 
-    ``bus_ids`` lists the non-slack buses in grid order; ``index_map`` maps a
-    non-slack bus id to its row in the grounded coordinates. ``E_r`` is the
-    slack-reduced incidence matrix and ``b`` the effective branch
+    Only ``grid``, ``B_inv`` and ``closed_switches`` (closed by the update
+    that gave ``B_inv``; they connect) are stored; the rest are reads of
+    them, cached on first use. ``bus_ids`` lists the non-slack buses in
+    grid order and ``index_map`` maps each to its grounded row. ``E_r`` is
+    the slack-reduced incidence matrix and ``b`` the effective branch
     susceptances, so ``B = E_r diag(b) E_r^T``; ``B`` itself is scattered
     from the endpoint arrays ``branch_ends``, not formed as that product.
 
-    ``B_inv`` is all downstream algebra reads. :func:`build_grounded_system`
-    inverts only the core left after the series-parallel reduction and
-    rebuilds the other rows from it, so no command forms ``B`` or its
-    factor. ``E_r``, ``B`` and ``chol`` are built on first read (pass
-    ``None``), on systems derived through low-rank updates too, where they
-    are those of ``grid`` (closed switches carry no susceptance there).
-    ``chol`` is ``(L, True)`` with ``L`` the lower Cholesky factor of ``B``,
-    or ``None`` when ``B`` is not positive definite: on a derived system
-    whose grid is connected only through a closed switch, ``B`` is singular.
-    ``closed_switches``, closed by the update that gave ``B_inv``, connect.
+    No command forms ``E_r``, ``B`` or ``chol``; on a system derived
+    through a low-rank update they are those of ``grid``, where closed
+    switches carry no susceptance. ``chol`` is ``(L, True)`` with ``L`` the
+    lower Cholesky factor of ``B``, or ``None`` when ``B`` is not positive
+    definite: on a derived system whose grid is connected only through a
+    closed switch, ``B`` is singular.
     """
 
     grid: Grid
-    slack: int
-    bus_ids: tuple[int, ...]
-    index_map: dict[int, int]
-    E_r: np.ndarray = _Lazy(lambda s: _incidence(s.branch_ends, s.n))
-    b: np.ndarray
     B_inv: np.ndarray
-    B: np.ndarray = _Lazy(lambda s: _grounded_laplacian(s.branch_ends, s.b, s.n))
-    chol: tuple | None = _Lazy(_cholesky_or_none)
     closed_switches: tuple[int, ...] = ()
+
+    slack = property(lambda s: s.grid.slack)
+    bus_ids = property(lambda s: s.grid.grounded_bus_ids)
+    index_map = cached_property(lambda s: {bid: i for i, bid in enumerate(s.bus_ids)})
+    b = cached_property(lambda s: s.grid.susceptances())
+    E_r = cached_property(lambda s: _incidence(s.branch_ends, s.n))
+    B = cached_property(lambda s: _grounded_laplacian(s.branch_ends, s.b, s.n))
+
+    @cached_property
+    def chol(self) -> tuple | None:
+        try:
+            return np.linalg.cholesky(self.B), True
+        except np.linalg.LinAlgError:
+            return None
 
     @property
     def n(self) -> int:
@@ -612,21 +587,9 @@ def _grounded_coords(grid: Grid) -> tuple[dict[int, int], tuple[np.ndarray, np.n
 
 
 def _system(grid: Grid, coords, B_inv: np.ndarray, closed_switches=()) -> GroundedSystem:
-    """Grounded system of ``grid`` in the coordinates ``_grounded_coords(grid)``."""
-    index_map, ends = coords
-    sys = GroundedSystem(
-        grid=grid,
-        slack=grid.slack,
-        bus_ids=grid.grounded_bus_ids,
-        index_map=index_map,
-        E_r=None,
-        b=grid.susceptances(),
-        B_inv=B_inv,
-        B=None,
-        chol=None,
-        closed_switches=tuple(closed_switches),
-    )
-    sys.__dict__["branch_ends"] = ends  # seeds the cached property
+    """Grounded system of ``grid`` with ``coords = (index_map, branch_ends)`` cached."""
+    sys = GroundedSystem(grid, B_inv, tuple(closed_switches))
+    sys.__dict__["index_map"], sys.__dict__["branch_ends"] = coords
     return sys
 
 
@@ -657,7 +620,7 @@ def build_grounded_system(grid: Grid) -> GroundedSystem:
         raise IslandingError(f"grounded matrix is ill-conditioned: {exc}") from exc
     _freeze(B_inv)
     sys = _system(grid, coords, B_inv)
-    sys.__dict__["bridges"] = bridges  # the same walk the property makes on a base grid
+    sys.__dict__["b"], sys.__dict__["bridges"] = b, bridges  # what the properties compute
     return sys
 
 
@@ -672,4 +635,4 @@ def system_from_inverse(grid: Grid, B_inv: np.ndarray, closed_switches=()) -> Gr
     B_inv = np.asarray(B_inv, dtype=float)
     if B_inv.shape != (n, n):
         raise GridStructureError(f"inverse has shape {B_inv.shape}, expected {(n, n)}")
-    return _system(grid, _grounded_coords(grid), B_inv, closed_switches)
+    return GroundedSystem(grid, B_inv, tuple(closed_switches))

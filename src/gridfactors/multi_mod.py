@@ -148,7 +148,7 @@ class SwitchKernel(_LowRank):
         zero for open ones): ``z = K_cc^-1 U_c^T theta`` on the closed switches
         ``c``. One solve on the closed block, no n x n inverse."""
         up, closed = self._update(states)
-        theta, z = up.angles(np.asarray(theta, dtype=float))
+        theta, z = up.angles(theta)
         y = np.zeros(len(self.switches))
         at = dict(up.switch_cols)
         y[closed] = [z[at[e]] for e in self.cols[closed].tolist()]

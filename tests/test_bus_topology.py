@@ -577,6 +577,25 @@ def test_composed_update_refuses_a_repeated_delta():
         ComposedUpdate(sys, [(4, -0.5), (4, -0.3)])
 
 
+def test_composed_update_angles_checks_the_reference_length():
+    # reference angles span the base rows and one row per split's new bus
+    from gridfactors.bus_topology import ComposedUpdate
+
+    buses = (Bus(1, 0.0, is_slack=True), Bus(2, 0.5), Bus(3, -0.2), Bus(4, -0.3))
+    ends = ((10, 1, 2), (11, 2, 3), (12, 3, 4), (13, 4, 1), (14, 2, 4))
+    sys = build_grounded_system(Grid(buses, tuple(Branch(i, f, t, 1.0) for i, f, t in ends)))
+    theta = solve_flow(sys).angles
+    spec = SplitSpec(2, {10: "new", 14: "new"}, injection_to_new=0.1)
+    split = ComposedUpdate(sys, splits=[spec])
+    with pytest.raises(GridStructureError, match=r"shape \(3,\), expected \(4,\)"):
+        split.angles(theta)
+    assert split.angles(np.r_[theta, 0.0])[0].shape == (4,)
+    with pytest.raises(GridStructureError, match=r"shape \(7,\), expected \(3,\)"):
+        ComposedUpdate(sys).angles(np.zeros(7))
+    got, z = ComposedUpdate(sys).angles(theta)
+    assert np.array_equal(got, theta) and z.shape == (0,)
+
+
 def _rebased(grid, closed):
     """The base system of ``grid`` and the system that closing ``closed`` leaves."""
     from gridfactors.bus_topology import ComposedUpdate

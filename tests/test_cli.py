@@ -484,7 +484,7 @@ def test_whatif_enumerate_forms_no_inverse_per_setting(tmp_path, capsys, monkeyp
     def refuse(*args, **kwargs):
         raise AssertionError("per-setting inverse route used")
 
-    monkeypatch.setattr(cli, "system_from_inverse", refuse)
+    monkeypatch.setattr(cli, "_system", refuse)
     monkeypatch.setattr(oracle, "_closed_switch_flows", refuse)
     monkeypatch.setattr(SwitchKernel, "merged_inverse", refuse)
     grid, sids = sweep_grid(6, 30)
@@ -658,14 +658,13 @@ def _staged_doc(grid, switches):
 
 
 def test_no_request_builds_the_dense_incidence(tmp_path, capsys, monkeypatch):
-    from gridfactors import bus_topology, grid_model
+    from gridfactors import grid_model
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense incidence or open-grid Laplacian built")
 
     monkeypatch.setattr(grid_model, "_incidence", refuse)
-    monkeypatch.setattr(bus_topology, "_incidence", refuse)
-    monkeypatch.setattr(bus_topology, "_grounded_laplacian", refuse)
+    monkeypatch.setattr(grid_model.GroundedSystem, "B", property(refuse))
     screening = screening_grid(4, 40)
     sweep, sids = sweep_grid(4, 40)
     cases = [(screening, [screening.branches[-1].id]), (sweep, list(sids[1:3]))]

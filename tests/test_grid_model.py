@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -230,7 +230,7 @@ def test_seeded_branch_ends_match_recomputed():
     for grid in _seeded_cases():
         sys = build_grounded_system(grid)
         lean = system_from_inverse(grid, sys.B_inv)
-        fresh = replace(sys, E_r=None)  # a copy computes the cached property anew
+        fresh = replace(sys)  # a copy computes the cached property anew
         for s in (sys, lean):
             assert all(np.array_equal(a, b) for a, b in zip(s.branch_ends, fresh.branch_ends))
 
@@ -322,4 +322,14 @@ def test_chol_is_none_on_a_derived_system_whose_own_B_is_singular():
         np.linalg.cholesky(sys.B)
     assert sys.chol is None
     assert sys.chol is None  # kept, not rebuilt
-    assert "_lazy_chol" in sys.__dict__
+    assert "chol" in sys.__dict__
+
+
+def test_reading_every_field_forms_no_derived_matrix(small_grids):
+    # a reader of the dataclass fields, such as a tracer walking return
+    # values, sees the record only: E_r, B and chol stay unbuilt
+    sys = build_grounded_system(small_grids[3])
+    assert [f.name for f in fields(sys)] == ["grid", "B_inv", "closed_switches"]
+    for f in fields(sys):
+        getattr(sys, f.name)
+    assert not {"E_r", "B", "chol"} & sys.__dict__.keys()

@@ -262,7 +262,7 @@ def test_outage_factors_bridge_columns_nan_without_warnings():
 def test_single_outage_calls_need_no_incidence_matrix():
     grid = screening_grid(3, 30)
     sys = build_grounded_system(grid)
-    lean = replace(sys, E_r=None)
+    lean = replace(sys)
     f_r = solve_flow(sys).flows
     for br in grid.branches:
         assert outage_islands(lean, br.id) == outage_islands(sys, br.id)
