@@ -1,4 +1,5 @@
-"""Internal guarded dense solves for the low-rank update kernels."""
+"""Internal guarded dense solves for the low-rank update kernels, and the one
+rule, :func:`_refused`, behind every pivot and zero test of those kernels."""
 
 from __future__ import annotations
 
@@ -39,6 +40,14 @@ def _lu_pivots(M: np.ndarray) -> np.ndarray:
     return piv.reshape(np.shape(M)[:-1])
 
 
+def _refused(piv, scale, mask=True) -> np.ndarray:
+    """Whether each bracket of a stack of pivot magnitudes ``(..., k)`` is refused:
+    its smallest pivot where ``mask`` holds is NaN or at most ``PIVOT_RTOL`` times
+    the larger of its largest pivot and ``scale``. One without such pivots is not."""
+    lo = np.where(mask, piv, np.inf).min(axis=-1)
+    return ~(lo > PIVOT_RTOL * np.maximum(np.where(mask, piv, 0.0).max(axis=-1), scale))
+
+
 def guarded_solve(
     M: np.ndarray, rhs: np.ndarray, context: str, scale: float = 0.0
 ) -> np.ndarray:
@@ -54,16 +63,15 @@ def guarded_solve(
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     rhs = np.asarray(rhs, dtype=float)
-    # a NaN would pass the pivot test and come back as a NaN solution
+    # a NaN is bad input, not an ill-conditioned update
     if not (np.isfinite(M).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
     diag = _lu_pivots(M[None])[0]
-    scale = max(diag.max(), float(scale))
-    if diag.min() <= PIVOT_RTOL * scale:
+    if _refused(diag, scale):
         raise IslandingError(
             f"{context}: update matrix is singular (smallest pivot "
-            f"{diag.min():.3g} at scale {scale:.3g}); the grid stays connected, "
-            "so the update is ill-conditioned",
+            f"{diag.min():.3g} at scale {max(diag.max(), float(scale)):.3g}); "
+            "the grid stays connected, so the update is ill-conditioned",
             criterion=float(diag.min()),
         )
     return np.linalg.solve(M, rhs)

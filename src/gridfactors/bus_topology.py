@@ -11,10 +11,11 @@ merged reference, a padded "closed but not merged" inverse obtained by
 copying the parent row and column, and the open topology. The split inverse
 follows from a closed-form expression that never references the diverging
 coupler susceptance. Its split kernel :func:`_split_kernel` is ``_LowRank``
-on the open grid's branches at the split buses; ``split_criterion``,
-``split_inverse``, ``bsdf_vector``, ``split_ptdf`` and ``lodf_after_split``
-are its M = 1 readers, and ``idle_bus_split``, the splits-only reader of
-``ComposedUpdate``, is their cross-check.
+on the open grid's branches at the split buses, and :func:`_split_solve` its
+one guarded solve for any number of couplers, which ``split_inverse`` (so
+``split_ptdf`` and ``lodf_after_split``) and ``bsdf_vector`` read;
+``idle_bus_split``, the splits-only reader of ``ComposedUpdate``, is their
+cross-check.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._linalg import PIVOT_RTOL, guarded_solve
+from . import _linalg
 from .errors import GridStructureError
 from .factors_base import (
     FactorMatrix,
@@ -283,37 +284,32 @@ def split_criterion(tri: TriConfig, which: int = 0) -> tuple[float, float]:
     tolerance is ``PIVOT_RTOL ||B_o||_inf ||nu||^2``, the split routes' guard.
     """
     _, inner, scale = _split_kernel(tri)
-    return float(inner[which, which]), PIVOT_RTOL * float(scale[which])
+    return float(inner[which, which]), _linalg.PIVOT_RTOL * float(scale[which])
 
 
-def _single_split_pieces(tri: TriConfig) -> tuple[np.ndarray, float]:
-    """Shared split quantities: ``(1 - B_c^-1 B_o) nu`` and the scalar bracket."""
-    if tri.n_splits != 1:
-        raise GridStructureError(
-            "single-coupler route needs exactly one split; "
-            "use multi_mod.multi_split_inverse for several"
-        )
+def _split_solve(tri: TriConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The one split solve, ``(GU, X = inner^-1 GU^T)``: a traversal of the open
+    grid decides islanding first (the openings together may island it where each
+    alone would not), then ``inner`` is guarded at the couplers' largest scale."""
     _require_connected(tri.grid_o, what="split grid")
     GU, inner, scale = _split_kernel(tri)
-    guarded_solve(inner, np.ones(1), "opening the busbar coupler", scale[0])  # conditioning
-    return GU[:, 0], float(inner[0, 0])
+    return GU, _linalg.guarded_solve(inner, GU.T, "opening the busbar couplers", scale.max())
 
 
 def split_inverse(tri: TriConfig) -> np.ndarray:
-    """Grounded inverse of the open grid from the padded closed inverse.
-
-    ``B_o^-1 = B_c^-1 + (1 - B_c^-1 B_o) nu nu^T (1 - B_o B_c^-1) / s``
-    with the scalar ``s = nu^T (B_o - B_o B_c^-1 B_o) nu``.
-    """
-    g_nu, s_val = _single_split_pieces(tri)
-    return tri.B_c_inv + np.outer(g_nu, g_nu) / s_val
+    """Grounded inverse of the open grid from the padded closed inverse, for
+    any number of couplers: ``B_o^-1 = B_c^-1 + (1 - B_c^-1 B_o) U [U^T (B_o -
+    B_o B_c^-1 B_o) U]^-1 U^T (1 - B_o B_c^-1)``."""
+    GU, X = _split_solve(tri)
+    return tri.B_c_inv + GU @ X
 
 
 def bsdf_vector(tri: TriConfig) -> np.ndarray:
-    """Bus split distribution factors: flow changes per unit of the
-    opening's driving term, one entry per branch of the open grid."""
-    g_nu, s_val = _single_split_pieces(tri)
-    return (tri.b_o * _end_diff(tri.ends_o, g_nu)) / s_val
+    """Bus split distribution factors of one coupler: flow changes per unit of
+    the opening's driving term, one entry per branch of the open grid."""
+    if tri.n_splits != 1:
+        raise GridStructureError("bus split distribution factors need exactly one split")
+    return tri.b_o * _end_diff(tri.ends_o, _split_solve(tri)[1][0])
 
 
 def split_ptdf(tri: TriConfig) -> FactorMatrix:

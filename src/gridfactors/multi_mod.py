@@ -8,8 +8,8 @@ M x M solve. An ideal switch's change diverges, so its column has
 ``1/s = 0`` and the bracket stays finite. ``woodbury_update``,
 ``multi_ptdf`` and ``SwitchKernel``'s settings read the one closure route,
 ``bus_topology.ComposedUpdate``, imported inside them; only the sweep runs
-on stacked blocks of the kernel's own ``K``. Multi-coupler splits read the
-split kernel ``bus_topology._split_kernel``.
+on stacked blocks of the kernel's own ``K``, judged by ``_linalg._refused``
+as every guarded solve is. Multi-coupler splits are ``bus_topology.split_inverse``.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from ._linalg import PIVOT_RTOL, _lu_pivots, guarded_solve
+from ._linalg import _lu_pivots, _refused
 from .errors import DegenerateSwitchError, GridStructureError
 from .factors_base import FactorMatrix, _LowRank, _end_diff, _wrap_ptdf
-from .grid_model import GroundedSystem, _branch_col, _require_connected
+from .grid_model import GroundedSystem, _branch_col
 
 if TYPE_CHECKING:
     from .bus_topology import TriConfig
@@ -109,19 +109,20 @@ class SwitchKernel(_LowRank):
         super().__init__(sys, [_branch_col(sys.grid, s) for s in self.switches])
         # K_d ~ 1/b: tested against B^-1_ff + B^-1_tt, the terms it is the difference of
         f, t = self.ends
-        self.degenerate = self.K_d <= PIVOT_RTOL * (self._inv_at(f, f) + self._inv_at(t, t))
+        self.degenerate = _refused(self.K_d[:, None], self._inv_at(f, f) + self._inv_at(t, t))
 
     def xi(self, states: SwitchStates) -> np.ndarray:
         """Diagonal of the closure matrix: exactly 0 (open) or 1 (closed).
 
         The closure variable of a finite-susceptance branch would be
         ``b q / (1 + b q)`` with ``q`` its transfer impedance; the ideal
-        limits are 0 and 1, provided every ``q`` passes the ``degenerate`` test.
+        limits are 0 and 1, provided every closed switch's ``q`` passes the
+        ``degenerate`` test; an open one is never part of the bracket.
         """
         if states.switches != self.switches:
             raise GridStructureError("switch states do not match this kernel")
-        if self.degenerate.any():
-            ids = [s for s, bad in zip(self.switches, self.degenerate) if bad]
+        ids = [s for s, d, c in zip(self.switches, self.degenerate, states.closed) if d and c]
+        if ids:
             raise DegenerateSwitchError(
                 f"switches {ids} have no transfer impedance in the all-open reference"
             )
@@ -170,10 +171,8 @@ class SwitchKernel(_LowRank):
         for j in range(M):
             closed[:, j] = np.arange(2**M) >> (M - 1 - j) & 1
         peak, islands = np.full(2**M, np.nan), np.ones(2**M, dtype=bool)
-        if self.degenerate.any():  # merged_angles raises for every setting
-            return closed, peak, islands
         order = np.argsort(self.cols, kind="stable")
-        K = self.K[np.ix_(order, order)]
+        K, degenerate = self.K[np.ix_(order, order)], self.degenerate[order]
         u = _end_diff(self.ends, np.asarray(theta, dtype=float))[order]
         if not (np.isfinite(K).all() and np.isfinite(u).all()):
             raise ValueError("array must not contain infs or NaNs")
@@ -185,11 +184,9 @@ class SwitchKernel(_LowRank):
             c = closed[at][:, order]
             cc = c[:, :, None] & c[:, None, :]
             A = np.where(cc, K, eye)
-            # guarded_solve's rule on each closed block, its scale max |K_cc|
-            piv = _lu_pivots(A)
-            scale = np.where(cc, np.abs(K), 0.0).max((1, 2))
-            scale = np.maximum(np.where(c, piv, 0.0).max(1), scale)
-            bad = np.where(c, piv, np.inf).min(axis=1) <= PIVOT_RTOL * scale
+            # guarded_solve's rule at the scale max |K_cc|; xi refuses a closed degenerate switch
+            bad = _refused(_lu_pivots(A), np.where(cc, np.abs(K), 0.0).max((1, 2)), c)
+            bad |= (c & degenerate).any(1)
             A[bad] = eye
             Z = np.linalg.solve(A, (c * u)[..., None])[..., 0]
             F = Z @ neg_P
@@ -221,15 +218,8 @@ def multi_merge_ptdf(sys: GroundedSystem, states: SwitchStates) -> FactorMatrix:
 # --- multi-coupler splits -----------------------------------------------------
 
 def multi_split_inverse(tri: TriConfig) -> np.ndarray:
-    """Open-grid inverse for one or more simultaneous busbar openings.
+    """Open-grid inverse for one or more simultaneous busbar openings:
+    ``bus_topology.split_inverse``, which takes any number of couplers."""
+    from .bus_topology import split_inverse
 
-    ``B_o^-1 = B_c^-1 + (1 - B_c^-1 B_o) U [U^T (B_o - B_o B_c^-1 B_o) U]^-1
-    U^T (1 - B_o B_c^-1)``. The combined openings may island the grid even
-    if each one alone would not; a traversal of the open grid decides that.
-    """
-    from .bus_topology import _split_kernel
-
-    _require_connected(tri.grid_o, what="split grid")
-    GU, inner, scale = _split_kernel(tri)
-    X = guarded_solve(inner, GU.T, context="multi-coupler bus split", scale=scale.max())
-    return tri.B_c_inv + GU @ X
+    return split_inverse(tri)

@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._linalg import PIVOT_RTOL, SUSCEPTANCE_FLOOR, guarded_solve
+from ._linalg import SUSCEPTANCE_FLOOR, _refused, guarded_solve
 from .errors import GridStructureError
 from .factors_base import FactorMatrix, _LowRank, _end_diff, _wrap_ptdf
 from .grid_model import GroundedSystem, _branch_col, _require_connected, _walk
@@ -91,8 +91,8 @@ def _outage_kernel(sys: GroundedSystem, cols: np.ndarray):
     transfer = sys.b[cols] * up.K_d
     criterion = 1.0 - transfer
     islands = sys.bridges[cols]
-    # guarded_solve's rule on the bracket -1/b_e + t_e = -criterion/b_e
-    live = np.flatnonzero(~islands & (abs(criterion) > PIVOT_RTOL * np.maximum(1.0, abs(transfer))))
+    # the 1 x 1 bracket -1/b_e + t_e = -criterion/b_e, scaled by b_e
+    live = np.flatnonzero(~islands & ~_refused(abs(criterion)[:, None], np.maximum(1.0, abs(transfer))))
     if live.size < cols.size:
         up = _LowRank(sys, cols[live])
     return up, criterion, transfer, islands, live

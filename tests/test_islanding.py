@@ -7,6 +7,7 @@ import pytest
 from gridfactors import (
     Grid,
     IslandingError,
+    SwitchKernel,
     ModificationSet,
     SplitSpec,
     apply_split,
@@ -15,13 +16,16 @@ from gridfactors import (
     outage_islands,
     pad_inverse,
     random_grid,
+    solve_flow,
     split_islands,
     traversal_connectivity,
     woodbury_update,
 )
-from gridfactors.cli import main
+from gridfactors import _linalg
+from gridfactors.cli import N1_BLOCK_BYTES, main
+from gridfactors.single_mod import lodf_column, outage_factors
 
-from conftest import triangle, two_bus
+from conftest import sweep_grid, triangle, two_bus
 
 
 def test_two_bus_bridge_criterion_exact_zero():
@@ -291,3 +295,30 @@ def test_split_routes_agree_on_islanding(decades):
         if len(set(flags)) > 1:
             disagreements.append((seed, parent, flags))
     assert disagreements == []
+
+
+def test_every_refusal_reads_the_one_rule(monkeypatch):
+    # the outage screen, the degenerate-switch test, the sweep, the split flag
+    # and the guarded solves all judge by _linalg._refused, which reads
+    # PIVOT_RTOL when called: at 1 it refuses every bracket with a pivot
+    grid, sids = sweep_grid(4, 30, 3)
+    sys = build_grounded_system(grid)
+    pre = solve_flow(sys)
+    live = np.flatnonzero((sys.b > 0.0) & ~sys.bridges)
+    bus = next(b.id for b in grid.buses if len(grid.branches_at(b.id)) >= 3)
+    split = SplitSpec(bus, {grid.branches_at(bus)[0].id: "new"}, injection_to_new=0.0)
+    tri = pad_inverse(sys, split)
+    line = grid.branches[live[0]].id
+    kernel = SwitchKernel(sys, sids)
+    assert np.isfinite(outage_factors(sys, live).lodf).all() and not kernel.degenerate.any()
+    assert np.isfinite(lodf_column(sys, line)).all() and not split_islands(tri)[0]
+
+    monkeypatch.setattr(_linalg, "PIVOT_RTOL", 1.0)
+    assert np.isnan(outage_factors(sys, live).lodf).all()
+    kernel = SwitchKernel(sys, sids)
+    assert kernel.degenerate.all()
+    closed, _, islands = kernel.sweep(pre.angles, pre.flows, N1_BLOCK_BYTES)
+    assert np.array_equal(islands, closed.any(axis=1))
+    assert split_islands(tri)[0]
+    with pytest.raises(IslandingError):
+        lodf_column(sys, line)

@@ -278,6 +278,22 @@ def test_two_simultaneous_splits_match_oracle():
     assert checked >= 5
 
 
+def test_split_inverse_takes_several_couplers():
+    # one guarded split solve at every coupler count: the multi-coupler name
+    # is the same route, bit for bit
+    grid = random_grid(41, 12, 2.8)
+    splits = [
+        SplitSpec(parent_bus=p, assignments=dict.fromkeys(moved, "new"),
+                  injection_to_new=grid.bus(p).injection / 2)
+        for p, moved in ((1, [1]), (3, [2, 3]))
+    ]
+    tri = pad_inverse(build_grounded_system(grid), splits)
+    assert tri.n_splits == 2
+    got = split_inverse(tri)
+    assert np.array_equal(got, multi_split_inverse(tri))
+    assert rel_fro(got, rebuild_and_solve(grid, splits=splits).B_inv) < 1e-12
+
+
 def test_combined_splits_island_while_each_alone_succeeds():
     # 4-cycle: splitting buses 2 and 4 on opposite sides cuts the ring
     grid = four_cycle()
