@@ -15,7 +15,8 @@ on the open grid's branches at the split buses, and :func:`_split_solve` its
 one guarded solve for any number of couplers, which ``split_inverse`` (so
 ``split_ptdf`` and ``lodf_after_split``) and ``bsdf_vector`` read;
 ``idle_bus_split``, the splits-only reader of ``ComposedUpdate``, is their
-cross-check.
+cross-check. On a rebased system the reference's closed switches connect in
+the split walk; ``pad_inverse`` refuses one that ends at a split's parent.
 """
 
 from __future__ import annotations
@@ -238,6 +239,10 @@ def pad_inverse(
     grid_o, resolved = _apply_splits(sys.grid, splits)
     if not resolved:
         raise GridStructureError("at least one split is required")
+    at = [s for s in sys.closed_switches
+          if {(br := sys.grid.branch(s)).from_bus, br.to_bus} & {r.parent for r in resolved}]
+    if at:  # the split kernel reads B_o U off the branches, where such a switch has no b
+        raise GridStructureError(f"closed switches {at} end at a split's parent bus")
     index_map_o, ends_o = _grounded_coords(grid_o)
     n, n_o = sys.n, len(index_map_o)
     B_c_inv = np.zeros((n_o, n_o))
@@ -250,7 +255,7 @@ def pad_inverse(
             U[p, k] = 1.0
             B_c_inv[n + k] = B_c_inv[p]
             B_c_inv[:, n + k] = B_c_inv[:, p]
-    sys_c = _system(grid_o, (index_map_o, ends_o), B_c_inv)
+    sys_c = _system(grid_o, (index_map_o, ends_o), B_c_inv, sys.closed_switches)
     return TriConfig(grid_o=grid_o, splits=tuple(resolved), sys_c=sys_c, U=U)
 
 
@@ -291,7 +296,7 @@ def _split_solve(tri: TriConfig) -> tuple[np.ndarray, np.ndarray]:
     """The one split solve, ``(GU, X = inner^-1 GU^T)``: a traversal of the open
     grid decides islanding first (the openings together may island it where each
     alone would not), then ``inner`` is guarded at the couplers' largest scale."""
-    _require_connected(tri.grid_o, what="split grid")
+    _require_connected(tri.grid_o, closed=tri.sys_c.closed_switches, what="split grid")
     GU, inner, scale = _split_kernel(tri)
     return GU, _linalg.guarded_solve(inner, GU.T, "opening the busbar couplers", scale.max())
 
@@ -315,13 +320,12 @@ def bsdf_vector(tri: TriConfig) -> np.ndarray:
 def split_ptdf(tri: TriConfig) -> FactorMatrix:
     """PTDF of the open grid, read off the split inverse: the padded PTDF
     plus the outer product of the bsdf vector with ``(1 - B_c^-1 B_o) nu``."""
-    return ptdf_matrix(_system(tri.grid_o, (tri.index_map_o, tri.ends_o), split_inverse(tri)))
+    return ptdf_matrix(replace(tri.sys_c, B_inv=split_inverse(tri)))
 
 
 def lodf_after_split(tri: TriConfig, branch: int) -> np.ndarray:
     """LODF column in the open grid: :func:`lodf_column` on the split inverse."""
-    sys_o = _system(tri.grid_o, (tri.index_map_o, tri.ends_o), split_inverse(tri))
-    return lodf_column(sys_o, branch)
+    return lodf_column(replace(tri.sys_c, B_inv=split_inverse(tri)), branch)
 
 
 # --- a modification set on the idle-bus reference -----------------------------

@@ -158,7 +158,9 @@ def compute_flows(
 
 
 def solve_flow(sys: GroundedSystem, p: np.ndarray | None = None) -> FlowState:
-    """End-to-end DC solution for the grid's own injections and PST shifts."""
+    """End-to-end DC solution for the grid's own injections and PST shifts. A
+    switch in ``sys.closed_switches`` has no ``b``, so its flow reads zero here;
+    ``bus_topology.ComposedUpdate(sys).flows()`` gives it by Kirchhoff's law."""
     grid = sys.grid
     if p is None:
         p = grid.injections()

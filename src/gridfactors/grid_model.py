@@ -497,7 +497,9 @@ class GroundedSystem:
     switches carry no susceptance. ``chol`` is ``(L, True)`` with ``L`` the
     lower Cholesky factor of ``B``, or ``None`` when ``B`` is not positive
     definite: on a derived system whose grid is connected only through a
-    closed switch, ``B`` is singular.
+    closed switch, ``B`` is singular. For the same reason the flow and factor
+    readers (``solve_flow``, ``ptdf_matrix``, ``outage_factors``,
+    ``lodf_column``) report a closed switch at zero.
     """
 
     grid: Grid
@@ -629,7 +631,9 @@ def system_from_inverse(grid: Grid, B_inv: np.ndarray, closed_switches=()) -> Gr
 
     Used when an inverse was obtained by a low-rank update; no factorization
     is performed. ``B`` and ``chol`` are those of ``grid``, built on first
-    read. ``closed_switches`` are the switches the update closed.
+    read. ``closed_switches`` are the switches the update closed: they connect
+    in every walk, but their flows and factor rows read zero (see
+    :class:`GroundedSystem`).
     """
     n = grid.n_buses - 1
     B_inv = np.asarray(B_inv, dtype=float)

@@ -4,8 +4,9 @@ The outage criterion ``1 - b_e nu_e^T B^-1 nu_e`` vanishes exactly for a
 bridge, the split criterion ``nu_s^T (B_o - B_o B_c^-1 B_o) nu_s`` for an
 islanding split; as differences, roundoff can leave them nonzero across many
 decades of susceptance. So graph structure (``grid_model._walk``) sets the
-flags, and a split is also flagged where the routes' guard,
-``_linalg._refused``, refuses its criterion.
+flags (a rebased system's closed switches connect in the split walk), and a
+split is also flagged where the routes' guard, ``_linalg._refused``, refuses
+its criterion.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ def split_islands(tri: TriConfig, which: int = 0) -> tuple[bool, float]:
     their guard as a 1 x 1 bracket; and that criterion."""
     _, inner, scale = _split_kernel(tri)
     s_val = float(inner[which, which])
-    islands = _refused([abs(s_val)], scale[which]) or len(connected_components(tri.grid_o)) > 1
+    comps = connected_components(tri.grid_o, (), tri.sys_c.closed_switches)
+    islands = _refused([abs(s_val)], scale[which]) or len(comps) > 1
     return bool(islands), s_val
 
 

@@ -166,6 +166,8 @@ class SwitchKernel(_LowRank):
         are bit for bit those :meth:`merged_angles` judges; one solve gives
         the closure flows ``Z``, one product ``f0 - Z P^T``.
         """
+        if ref := list(self.sys.closed_switches):  # their flows need a cut per setting
+            raise GridStructureError(f"switches {ref} are closed in the reference system")
         M, m = len(self.switches), len(f0)
         closed = np.empty((2**M, M), dtype=bool)
         for j in range(M):
