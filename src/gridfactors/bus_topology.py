@@ -202,25 +202,12 @@ def _apply_splits(
     for spec in splits:
         r = _resolve_split(grid, spec)
         resolved.append(r)
-        buses = []
-        for bus in grid.buses:
-            if bus.id == r.parent:
-                buses.append(replace(bus, injection=bus.injection - r.injection_to_new))
-            else:
-                buses.append(bus)
+        buses = [replace(bus, injection=bus.injection - r.injection_to_new) if bus.id == r.parent
+                 else bus for bus in grid.buses]
         buses.append(Bus(id=r.new_bus, injection=r.injection_to_new))
-        branches = []
-        for br in grid.branches:
-            if br.id in r.moved:
-                branches.append(
-                    replace(
-                        br,
-                        from_bus=r.new_bus if br.from_bus == r.parent else br.from_bus,
-                        to_bus=r.new_bus if br.to_bus == r.parent else br.to_bus,
-                    )
-                )
-            else:
-                branches.append(br)
+        end = lambda x: r.new_bus if x == r.parent else x  # noqa: E731
+        branches = [replace(br, from_bus=end(br.from_bus), to_bus=end(br.to_bus))
+                    if br.id in r.moved else br for br in grid.branches]
         grid = Grid(buses=tuple(buses), branches=tuple(branches))
     return grid, resolved
 
@@ -445,7 +432,7 @@ class ComposedUpdate:
         """
         grid, rec = self.grid, self._sys
         shifts = grid.shift_angles()
-        theta_r = rec.B_inv @ rec.reduce(_shifted_injections(grid, grid.injections(), shifts))
+        theta_r = solve_angles(rec, _shifted_injections(grid, grid.injections(), shifts))
         theta, z = self.angles(theta_r)
         f = rec.b * (_end_diff(rec.branch_ends, theta) + shifts)
         for e, k in self.switch_cols:

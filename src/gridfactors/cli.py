@@ -10,6 +10,7 @@ scaled by the case base); native JSON grids are reported as-is.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys as _sys
@@ -49,15 +50,23 @@ EXIT_PARSE = 2
 EXIT_DISCONNECTED = 3
 EXIT_ISLANDS = 4
 
-#: target size of one block of the n-1 screen (its k x n kernel rows, and at most
-#: k x m LODF entries), and of a switch sweep's blocks
+#: target size of one block of the n-1 screen (at most k x m LODF entries) and
+#: of a switch sweep's blocks
 N1_BLOCK_BYTES = 4 << 20
+
+
+def _read_text(path: str) -> str:
+    """The text of a file; CaseParseError (exit 2) if it cannot be opened or decoded."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CaseParseError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}")
 
 
 def load_case(path: str) -> tuple[Grid, float]:
     """Read a Matpower .m or native .json grid; returns (grid, power base)."""
-    with open(path) as fh:
-        text = fh.read()
+    text = _read_text(path)
     if path.endswith(".json") or text.lstrip().startswith("{"):
         return grid_from_json(text), 1.0
     case = parse_matpower(text)
@@ -160,18 +169,20 @@ def cmd_factors(args) -> int:
         from .pst import psdf_rows
 
         rows = psdf_rows(sys)
-    write_factors(rows, args.out or _sys.stdout)  # each block computed as it is written
+    try:
+        sink = open(args.out, "w") if args.out else contextlib.nullcontext(_sys.stdout)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=_sys.stderr)
+        return EXIT_ERROR
+    with sink as fh:
+        write_factors(rows, fh)  # each block computed as it is written
     return EXIT_OK
 
 
 def _load_modset(raw: str) -> dict:
     """Modification JSON, given inline or as @file / plain file path."""
-    if raw.startswith("@"):
-        with open(raw[1:]) as fh:
-            raw = fh.read()
-    elif os.path.exists(raw):
-        with open(raw) as fh:
-            raw = fh.read()
+    if raw.startswith("@") or os.path.exists(raw):
+        raw = _read_text(raw.removeprefix("@"))
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:

@@ -11,7 +11,7 @@ low-rank kernel, :class:`_LowRank`, with one bracket ``S^-1 + K`` (``1/s =
 0`` for an ideal closure). ``updated_inverse`` and ``lcdf_column`` read it
 for one branch; ``bus_topology.ComposedUpdate`` (a whole modification set,
 every switch closure among it), ``SwitchKernel`` (its sweep) and
-``outage_factors`` (``K_d`` and its gathers only) for M branches, and
+``outage_factors`` (``K_d`` and :meth:`_LowRank.at_ends` only) for M branches, and
 ``bus_topology._split_kernel`` for the branches at the split buses.
 """
 
@@ -191,14 +191,13 @@ def _end_diff(ends: tuple[np.ndarray, np.ndarray], X: np.ndarray) -> np.ndarray:
 class _LowRank:
     """Update of a grounded inverse along the incidence columns ``U`` of some branches.
 
-    ``W = B^-1 U`` is gathered once on the branch endpoints, as the rows
-    ``Wt`` of ``W^T``: row-major, with a zero pad column ``n`` for the
-    slack. ``W`` is the transposed view of ``Wt``, so every reader shares
-    the one gather and no transposed copy is made. ``K = U^T W`` and the
-    LODF blocks of ``outage_factors`` are gathers on columns of ``Wt``
-    (:meth:`at_ends`). ``K_d``, the diagonal of ``K``, holds each branch's
-    transfer impedance; it is read off four entries of ``B^-1`` per branch,
-    so a screen can test its outages before it gathers anything.
+    It reads ``B^-1`` two ways. Entries on pairs of branch ends
+    (:meth:`_inv_at`) give the brackets: ``K = U^T B^-1 U``, its diagonal
+    ``K_d`` (each branch's transfer impedance, so a screen can test its
+    outages before it gathers anything) and the LODF blocks of
+    ``outage_factors`` (:meth:`at_ends`), O(1) an entry, no row of ``B^-1``.
+    Rows on the columns' ends give ``W = B^-1 U`` (n x k, the transposed view
+    of ``Wt = U^T B^-1``), which only the updates read.
     :meth:`solve` runs one guarded solve on the bracket ``S^-1 + K`` of
     Hager's rank-M update (W. W. Hager, "Updating the inverse of a matrix",
     SIAM Review 31(2), 1989) for the changes ``S``; an ideal closure is the
@@ -214,36 +213,10 @@ class _LowRank:
 
     @cached_property
     def Wt(self) -> np.ndarray:
-        """Rows ``B^-1[from] - B^-1[to]`` per column, the slack's row and pad at zero."""
-        B_inv, n = self.sys.B_inv, self.sys.n
-        Wt = np.empty((len(self.cols), n + 1))
-        Wt[:, n] = 0.0
-        # one row at a time: no k x n temporaries, which cost more than the loop
-        frm, to = (e.tolist() for e in self.ends)
-        for row, f, t in zip(Wt, frm, to):
-            np.subtract(B_inv[f] if f < n else 0.0, B_inv[t] if t < n else 0.0, out=row[:n])
-        return Wt
+        """Rows ``B^-1[from] - B^-1[to]`` per column, the slack's row at zero."""
+        return _end_diff(self.ends, self.sys.B_inv)
 
-    @property
-    def W(self) -> np.ndarray:
-        """``B^-1 U``, n x k: the transposed view of ``Wt`` without its pad."""
-        return self.Wt[:, :-1].T
-
-    def at_ends(self, ends: tuple[np.ndarray, np.ndarray], sub=None) -> np.ndarray:
-        """``(E^T W)^T`` for the branches with grounded endpoints ``ends``: row
-        ``j`` holds ``W[from, j] - W[to, j]`` per branch, gathered on ``Wt``;
-        only the rows ``sub`` of it when given, each entry bit for bit the same."""
-        if sub is None:
-            out = self.Wt.take(ends[0], axis=1)
-            out -= self.Wt.take(ends[1], axis=1)
-        else:
-            out = self.Wt[np.ix_(sub, ends[0])]
-            out -= self.Wt[np.ix_(sub, ends[1])]
-        return out
-
-    @cached_property
-    def K(self) -> np.ndarray:
-        return self.at_ends(self.ends).T
+    W = property(lambda up: up.Wt.T)  # B^-1 U, n x k: the transposed view of Wt
 
     def _inv_at(self, r: np.ndarray, c: np.ndarray) -> np.ndarray:
         """Entries ``B^-1[r, c]`` for grounded rows and columns, zero on the slack's pad."""
@@ -252,12 +225,27 @@ class _LowRank:
         v[(r == n) | (c == n)] = 0.0
         return v
 
+    def _bracket(self, f, t, a, b) -> np.ndarray:
+        """``(B^-1[f, a] - B^-1[t, a]) - (B^-1[f, b] - B^-1[t, b])``, broadcast:
+        one entry of ``U^T B^-1 U'`` per column pair, always in this association."""
+        entry = self._inv_at
+        return (entry(f, a) - entry(t, a)) - (entry(f, b) - entry(t, b))
+
+    def at_ends(self, ends: tuple[np.ndarray, np.ndarray], sub=None) -> np.ndarray:
+        """``(E^T W)^T`` for the branches with grounded endpoints ``ends``: row
+        ``j`` holds ``W[from, j] - W[to, j]`` per branch; only the rows ``sub``
+        of it when given, each entry bit for bit the same."""
+        f, t = (x[:, None] if sub is None else x[sub, None] for x in self.ends)
+        return self._bracket(f, t, *ends)
+
+    @cached_property
+    def K(self) -> np.ndarray:
+        return self.at_ends(self.ends).T
+
     @cached_property
     def K_d(self) -> np.ndarray:
-        """``t_e = nu_e^T B^-1 nu_e``: the diagonal of ``K``, bit for bit, without ``Wt``."""
-        f, t = self.ends
-        entry = self._inv_at
-        return (entry(f, f) - entry(t, f)) - (entry(f, t) - entry(t, t))
+        """``t_e = nu_e^T B^-1 nu_e``: the diagonal of ``K``, bit for bit, four entries a branch."""
+        return self._bracket(*self.ends, *self.ends)
 
     def solve(self, rhs: np.ndarray, context: str, s_inv) -> np.ndarray:
         """Solve ``(S^-1 + K) x = rhs`` by ``guarded_solve``; a caller that

@@ -27,6 +27,10 @@ from .grid_model import GroundedSystem, _branch_col
 if TYPE_CHECKING:
     from .bus_topology import TriConfig
 
+#: most switches :meth:`SwitchKernel.sweep` takes (2**16 settings: 1.4-1.8 s and
+#: 70 MB peak for ``whatif --enumerate`` on a 40-bus grid and a 2-vCPU Xeon)
+SWEEP_MAX_SWITCHES = 16
+
 
 @dataclass(frozen=True)
 class ModificationSet:
@@ -166,9 +170,11 @@ class SwitchKernel(_LowRank):
         are bit for bit those :meth:`merged_angles` judges; one solve gives
         the closure flows ``Z``, one product ``f0 - Z P^T``.
         """
+        M, m = len(self.switches), len(f0)
+        if M > SWEEP_MAX_SWITCHES:  # before the 2**M settings take any memory
+            raise GridStructureError(f"{M} switches: a sweep takes at most {SWEEP_MAX_SWITCHES}")
         if ref := list(self.sys.closed_switches):  # their flows need a cut per setting
             raise GridStructureError(f"switches {ref} are closed in the reference system")
-        M, m = len(self.switches), len(f0)
         closed = np.empty((2**M, M), dtype=bool)
         for j in range(M):
             closed[:, j] = np.arange(2**M) >> (M - 1 - j) & 1

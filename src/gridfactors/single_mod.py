@@ -86,7 +86,7 @@ class OutageFactors(NamedTuple):
 def _outage_kernel(sys: GroundedSystem, cols: np.ndarray):
     """Criteria, transfers and bridge flags of outaging the branches at
     ``cols``, the positions among them of the outages the pivot rule tells
-    from islanding, and the endpoint kernel of those (``Wt`` not gathered)."""
+    from islanding, and the endpoint kernel of those (no row of ``B^-1`` read)."""
     up = _LowRank(sys, cols)
     transfer = sys.b[cols] * up.K_d
     criterion = 1.0 - transfer
@@ -103,8 +103,9 @@ def _lodf_rows(
 ) -> np.ndarray:
     """The one LODF kernel: one row per outage of ``up`` (per outage at
     ``sub`` only, when given) on the monitored branch positions ``rows``,
-    ``b_l H / criterion`` with ``H = E^T W`` gathered on ``Wt`` and the
-    self-entries exactly -1. ``criterion`` holds one entry per outage of ``up``."""
+    ``b_l H / criterion`` with ``H = E^T W`` read as entries of ``B^-1`` on
+    end pairs (:meth:`_LowRank.at_ends`) and the self-entries exactly -1.
+    ``criterion`` holds one entry per outage of ``up``."""
     part = slice(None) if sub is None else sub
     lodf = up.at_ends((sys.branch_ends[0][rows], sys.branch_ends[1][rows]), sub)
     lodf *= sys.b[rows]
@@ -135,12 +136,13 @@ def outage_factors(
     ``branch_idx`` holds k branch positions (incidence columns), ``rows``
     the distinct monitored branch positions (all branches by default; none
     for criteria alone). The criteria ``1 - b_e t_e`` come off the diagonal
-    of the endpoint kernel. Only non-bridges whose criterion the pivot rule
-    tells from zero then gather ``W = B^-1 U`` on their endpoints, and
-    ``H = E^T W`` is gathered on the monitored branches' endpoints only:
+    of the endpoint kernel. Only for non-bridges whose criterion the pivot
+    rule tells from zero is ``H = E^T B^-1 U`` then read, as four entries of
+    ``B^-1`` on the end pairs of each outage and monitored branch:
     ``LODF = diag(b) H / (1 - b_e t_e)``, scaled in place. Gathers only, no
-    matrix product: a block costs O(k (n + len(rows))). ``lodf`` is the
-    transposed view of a row-major k x len(rows) array, one row per outage.
+    row of ``B^-1`` and no matrix product: a block costs O(k len(rows)).
+    ``lodf`` is the transposed view of a row-major k x len(rows) array, one
+    row per outage.
     """
     cols = np.atleast_1d(np.asarray(branch_idx, dtype=np.intp))
     rows = np.arange(sys.grid.n_branches) if rows is None else np.asarray(rows, dtype=np.intp)
@@ -227,7 +229,7 @@ def outage_peaks(
     eps (b_max / b_min) / |1 - b_e t_e|`` allows for the roundoff in the
     entries and in the flow itself; an outage with ``tau_e >= 1`` gets
     every row. Outages go in blocks ordered by ``|f_e|``, each with its
-    kernel rows ``Wt`` (k x n) near ``block_bytes``. Closed switches
+    k x m LODF entries at most near ``block_bytes``. Closed switches
     (``sys.closed_switches``) carry flows that ``f`` does not hold: theirs
     follow from the post-outage flows by Kirchhoff's current law on one
     side of the switch (:func:`_switch_cuts`), taken for every outage.
@@ -243,7 +245,7 @@ def outage_peaks(
     spread = b.max() / b.min() if b.size else 1.0
     peaks = np.full(cols.size, np.nan)
     order = np.argsort(a[cols], kind="stable")
-    block = max(1, block_bytes // (8 * max(m, sys.n + 1)))
+    block = max(1, block_bytes // (8 * max(m, 1)))
     for start in range(0, cols.size, block):
         at = order[start : start + block]
         up, criterion, _, _, live = _outage_kernel(sys, cols[at])

@@ -914,3 +914,54 @@ def test_input_errors_exit_with_their_code_and_message(argv, code, prefix, tmp_p
     captured = capsys.readouterr()
     assert captured.err.startswith(prefix), captured.err
     assert "Traceback" not in captured.err and not captured.out
+
+
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["flows", "{missing}"], "{missing}"),
+        (["flows", "{dir}"], "{dir}"),
+        (["flows", "{binary}"], "{binary}"),
+        (["whatif", "ww", "--mods", "@{missing}"], "{missing}"),
+        (["whatif", "ww", "--mods", "{binary}"], "{binary}"),
+        (["n1", "ww", "--after", "@{missing}"], "{missing}"),
+    ],
+    ids=["case-missing", "case-directory", "case-not-text", "mods-missing", "mods-not-text",
+         "after-missing"],
+)
+def test_unreadable_input_exits_2(argv, path, tmp_path, capsys):
+    binary = tmp_path / "grid.bin"
+    binary.write_bytes(b"\xff\xfe\x00{")
+    names = {"missing": str(tmp_path / "none.json"), "dir": str(tmp_path), "binary": str(binary)}
+    files = _exit_case_files(tmp_path)
+    assert main([files.get(a, a.format(**names)) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot read {path.format(**names)}: "), captured.err
+    assert "Traceback" not in captured.err and not captured.out
+
+
+def test_unwritable_out_exits_1(ww_path, tmp_path, capsys):
+    out = tmp_path / "no_such_dir" / "ptdf.csv"
+    assert main(["factors", ww_path, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+    assert "Traceback" not in captured.err and not captured.out
+    assert not out.parent.exists()
+
+
+def test_enumerate_refuses_more_switches_than_its_bound(tmp_path, capsys, monkeypatch):
+    from gridfactors.multi_mod import SWEEP_MAX_SWITCHES
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the settings were allocated")
+
+    monkeypatch.setattr(np, "empty", refuse)  # the sweep's first allocation
+    M = SWEEP_MAX_SWITCHES + 1
+    grid, sids = add_switches(triangle(), [(1, 2), (2, 3), (3, 1)] * 6)
+    path = tmp_path / "grid.json"
+    path.write_text(grid_to_json(grid))
+    doc = json.dumps({"switches": {str(s): "open" for s in sids[:M]}})
+    assert main(["whatif", str(path), "--mods", doc, "--enumerate"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {M} switches: a sweep takes at most {SWEEP_MAX_SWITCHES}\n"
+    assert not captured.out
