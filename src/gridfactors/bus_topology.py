@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import _linalg
-from .errors import GridStructureError
+from .errors import GridStructureError, IslandingError
 from .factors_base import (
     FactorMatrix,
     _LowRank,
@@ -338,9 +338,9 @@ class ComposedUpdate:
     switch ids to closed flags. ``closed`` lists the reference's closed
     switches (``sys.closed_switches``, as on a system rebased on an earlier
     update) and then this update's; both count in the walks. A branch given
-    two deltas raises GridStructureError, a redundant closing
-    DegenerateSwitchError, and a disconnected final grid IslandingError,
-    tested by a walk only when an outage or a split can disconnect it.
+    two deltas raises GridStructureError; then, in turn, a redundant closing
+    DegenerateSwitchError, a disconnected final grid (walked only when an outage
+    or a split can disconnect it) and a degenerate closing IslandingError.
     """
 
     def __init__(
@@ -409,6 +409,9 @@ class ComposedUpdate:
             self.up.check_closings(self.s_inv)
         if self._may_island:
             _require_connected(self.grid, closed=self.closed, what="modified grid")
+        if bad := [self.grid.branches[e].id for e, k in self.switch_cols if self.up.degenerate[k]]:
+            raise IslandingError(f"closing switch {bad[0]}: no transfer impedance; "
+                                 "the grid stays connected, so the update is ill-conditioned")
 
     def angles(self, theta_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Final angles ``theta_r - W z`` from reference angles ``theta_r``,

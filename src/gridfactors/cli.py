@@ -33,6 +33,7 @@ from .grid_model import (
     SWITCH,
     Grid,
     GroundedSystem,
+    _branch_col,
     _system,
     build_grounded_system,
 )
@@ -84,14 +85,12 @@ def _apply_shift_flags(grid: Grid, shift_args: list[str]) -> Grid:
             shifts[int(branch_id)] = float(angle)
         except ValueError:
             raise CaseParseError(f"bad --shift value {arg!r}, expected branch=radians")
-    branches = []
-    for br in grid.branches:
-        if br.id in shifts:
-            if br.kind == SWITCH:
-                raise GridStructureError(f"branch {br.id}: cannot shift a switch")
-            branches.append(replace(br, kind=PST, shift_angle=shifts[br.id]))
-        else:
-            branches.append(br)
+    branches = list(grid.branches)
+    for branch_id, angle in shifts.items():
+        e = _branch_col(grid, branch_id)  # GridStructureError if unknown
+        if branches[e].kind == SWITCH:
+            raise GridStructureError(f"branch {branch_id}: cannot shift a switch")
+        branches[e] = replace(branches[e], kind=PST, shift_angle=angle)
     return Grid(buses=grid.buses, branches=tuple(branches))
 
 
@@ -180,8 +179,10 @@ def cmd_factors(args) -> int:
 
 
 def _load_modset(raw: str) -> dict:
-    """Modification JSON, given inline or as @file / plain file path."""
-    if raw.startswith("@") or os.path.exists(raw):
+    """Modification JSON from an existing file, else inline (starting with ``{``
+    or ``[``), else an @file / plain file path; its keys are ``deltas``,
+    ``switches`` and ``splits``."""
+    if os.path.exists(raw) or not raw.lstrip().startswith(("{", "[")):
         raw = _read_text(raw.removeprefix("@"))
     try:
         doc = json.loads(raw)
@@ -189,6 +190,10 @@ def _load_modset(raw: str) -> dict:
         raise CaseParseError(f"bad modification JSON: {exc}")
     if not isinstance(doc, dict):
         raise CaseParseError("modification JSON must be an object")
+    if unknown := sorted(doc.keys() - {"deltas", "switches", "splits"}):
+        raise CaseParseError(
+            f"unknown modification keys {unknown}; expected deltas, switches, splits"
+        )
     return doc
 
 

@@ -38,4 +38,4 @@ class IslandingError(GridFactorsError):
 
 
 class DegenerateSwitchError(GridFactorsError):
-    """A switch cannot be handled (zero transfer impedance or redundant)."""
+    """A redundant closing: the switch's terminals are already merged."""

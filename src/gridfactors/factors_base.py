@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._linalg import guarded_solve
+from ._linalg import _refused, guarded_solve
 from .errors import DegenerateSwitchError, GridStructureError
 from .grid_model import PST, Grid, GroundedSystem, _walk
 
@@ -246,6 +246,12 @@ class _LowRank:
     def K_d(self) -> np.ndarray:
         """``t_e = nu_e^T B^-1 nu_e``: the diagonal of ``K``, bit for bit, four entries a branch."""
         return self._bracket(*self.ends, *self.ends)
+
+    @cached_property
+    def degenerate(self) -> np.ndarray:
+        """Whether each column's ``K_d`` (~ 1/b) cancels against ``B^-1_ff + B^-1_tt``."""
+        f, t = self.ends
+        return _refused(self.K_d[:, None], self._inv_at(f, f) + self._inv_at(t, t))
 
     def solve(self, rhs: np.ndarray, context: str, s_inv) -> np.ndarray:
         """Solve ``(S^-1 + K) x = rhs`` by ``guarded_solve``; a caller that

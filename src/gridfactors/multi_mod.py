@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from ._linalg import _lu_pivots, _refused
-from .errors import DegenerateSwitchError, GridStructureError
+from .errors import GridStructureError
 from .factors_base import FactorMatrix, _LowRank, _end_diff, _wrap_ptdf
 from .grid_model import GroundedSystem, _branch_col
 
@@ -111,32 +111,27 @@ class SwitchKernel(_LowRank):
     def __init__(self, sys: GroundedSystem, switches: Sequence[int]):
         self.switches = tuple(switches)
         super().__init__(sys, [_branch_col(sys.grid, s) for s in self.switches])
-        # K_d ~ 1/b: tested against B^-1_ff + B^-1_tt, the terms it is the difference of
-        f, t = self.ends
-        self.degenerate = _refused(self.K_d[:, None], self._inv_at(f, f) + self._inv_at(t, t))
 
     def xi(self, states: SwitchStates) -> np.ndarray:
         """Diagonal of the closure matrix: exactly 0 (open) or 1 (closed).
 
         The closure variable of a finite-susceptance branch would be
         ``b q / (1 + b q)`` with ``q`` its transfer impedance; the ideal
-        limits are 0 and 1, provided every closed switch's ``q`` passes the
-        ``degenerate`` test; an open one is never part of the bracket.
+        limits are 0 and 1.
         """
+        return self._closed(states).astype(float)
+
+    def _closed(self, states: SwitchStates) -> np.ndarray:
+        """The setting's closed flags, checked against this kernel's switches."""
         if states.switches != self.switches:
             raise GridStructureError("switch states do not match this kernel")
-        ids = [s for s, d, c in zip(self.switches, self.degenerate, states.closed) if d and c]
-        if ids:
-            raise DegenerateSwitchError(
-                f"switches {ids} have no transfer impedance in the all-open reference"
-            )
-        return np.array([1.0 if c else 0.0 for c in states.closed])
+        return np.array(states.closed, dtype=bool)
 
     def _update(self, states: SwitchStates):
-        """The setting's ``bus_topology.ComposedUpdate`` and closed flags, after :meth:`xi`."""
+        """The setting's ``bus_topology.ComposedUpdate`` and closed flags."""
         from .bus_topology import ComposedUpdate
 
-        closed = self.xi(states) == 1.0
+        closed = self._closed(states)
         return ComposedUpdate(self.sys, switches=dict(zip(self.switches, closed))), closed
 
     def merged_inverse(self, states: SwitchStates) -> np.ndarray:
@@ -192,7 +187,7 @@ class SwitchKernel(_LowRank):
             c = closed[at][:, order]
             cc = c[:, :, None] & c[:, None, :]
             A = np.where(cc, K, eye)
-            # guarded_solve's rule at the scale max |K_cc|; xi refuses a closed degenerate switch
+            # guarded_solve's rule at the scale max |K_cc|, and ComposedUpdate's degenerate refusal
             bad = _refused(_lu_pivots(A), np.where(cc, np.abs(K), 0.0).max((1, 2)), c)
             bad |= (c & degenerate).any(1)
             A[bad] = eye

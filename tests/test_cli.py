@@ -121,6 +121,13 @@ def test_whatif_split_reports_paper_number(ww_path, capsys, tmp_path):
     assert "max |f| = 42.233 on branch (1,7)" in out
 
 
+def test_mods_file_named_like_inline_json_is_read_as_a_file(ww_path, capsys, tmp_path):
+    mods = tmp_path / "[split].json"
+    mods.write_text(json.dumps(SPLIT_DOC))
+    assert main(["whatif", ww_path, "--mods", str(mods)]) == 0
+    assert "max |f| = 42.233 on branch (1,7)" in capsys.readouterr().out
+
+
 def test_whatif_bridge_outage_exit_4(tmp_path, capsys):
     path = tmp_path / "grid.json"
     path.write_text(grid_to_json(two_bus(b=1.0, slack=2, p=0.0)))
@@ -893,6 +900,7 @@ def _split(**spec):
         (["flows", "ww", "--shift", "3=abc"], 2, "error: bad --shift value '3=abc'"),
         (["flows", "ww", "--shift", "3"], 2, "error: bad --shift value '3'"),
         (["flows", "switched", "--shift", "1000=0.1"], 2, "error: branch 1000: cannot shift a switch"),
+        (["flows", "ww", "--shift", "999=0.1"], 2, "error: unknown branch 999\n"),
         (["whatif", "ww", "--mods", "{bad"], 2, "error: bad modification JSON"),
         (["whatif", "ww", "--mods", "[1, 2]"], 2, "error: modification JSON must be an object"),
         (["whatif", "ww", "--mods", _split(parent="x")], 2, "error: bad split specification"),
@@ -902,11 +910,16 @@ def _split(**spec):
         (["whatif", "ww", "--mods", _split(new_bus=3)], 2, "error: new bus id 3 already exists"),
         (["whatif", "ww", "--mods", '{"deltas": [{"branch": 4, "db": -0.5}, {"branch": 4, "db": -0.3}]}'],
          2, "error: duplicate branch ids in modification set: [4, 4]"),
+        (["whatif", "ww", "--mods", '{"delta": [{"branch": 3, "db": -0.1}]}'],
+         2, "error: unknown modification keys ['delta']"),
+        (["n1", "ww", "--after", '{"split": [], "deltas": []}'],
+         2, "error: unknown modification keys ['split']"),
     ],
     ids=["after-islands", "enumerate-without-switches", "shift-not-a-number",
-         "shift-without-angle", "shift-on-a-switch", "mods-not-json", "mods-not-an-object",
-         "split-parent-not-an-integer", "split-unknown-parent", "split-unknown-side",
-         "split-existing-new-bus", "repeated-delta"],
+         "shift-without-angle", "shift-on-a-switch", "shift-unknown-branch", "mods-not-json",
+         "mods-not-an-object", "split-parent-not-an-integer", "split-unknown-parent",
+         "split-unknown-side", "split-existing-new-bus", "repeated-delta", "mods-unknown-key",
+         "after-unknown-key"],
 )
 def test_input_errors_exit_with_their_code_and_message(argv, code, prefix, tmp_path, capsys):
     files = _exit_case_files(tmp_path)
@@ -925,9 +938,11 @@ def test_input_errors_exit_with_their_code_and_message(argv, code, prefix, tmp_p
         (["whatif", "ww", "--mods", "@{missing}"], "{missing}"),
         (["whatif", "ww", "--mods", "{binary}"], "{binary}"),
         (["n1", "ww", "--after", "@{missing}"], "{missing}"),
+        (["whatif", "ww", "--mods", "{missing}"], "{missing}"),
+        (["n1", "ww", "--after", "{missing}"], "{missing}"),
     ],
     ids=["case-missing", "case-directory", "case-not-text", "mods-missing", "mods-not-text",
-         "after-missing"],
+         "after-missing", "mods-missing-without-at", "after-missing-without-at"],
 )
 def test_unreadable_input_exits_2(argv, path, tmp_path, capsys):
     binary = tmp_path / "grid.bin"
