@@ -34,6 +34,7 @@ from .factors_base import (
     _end_diff,
     _shifted_injections,
     _wrap_ptdf,
+    compute_flows,
     ptdf_matrix,
     solve_angles,
 )
@@ -321,9 +322,10 @@ class ComposedUpdate:
     """Susceptance deltas, switch closures and bus splits as one low-rank update.
 
     The reference grid is the base grid with each split's new bus idle, tied
-    to the slack by a branch of susceptance ``grounding_b`` (by default the
-    grid's largest susceptance), so its inverse ``C`` is the base inverse
-    padded with ``1 / grounding_b``. The one record ``_sys`` is the final
+    to the slack at ``g_k``, the final susceptance of the branches split ``k``
+    moves (the grid's largest when they have none), so its inverse ``C`` is
+    the base inverse padded with ``diag(1 / g_k)``: a tie on the split's own
+    scale, whatever the grid's spread. The one record ``_sys`` is the final
     grid's system over ``C``, in the final grid's coordinates (the base
     system's own when nothing splits); only its coordinates, ``b`` and
     ``reduce`` are the final grid's, as its ``B_inv`` is ``C``. One bracket
@@ -331,8 +333,8 @@ class ComposedUpdate:
     change, each a pair of ends there: a delta on an unmoved branch; a moved
     branch's outage at its base ends (the slack's pad moved from ``n`` to
     ``n_o``) and its copy at its new ends; a closed switch (or line),
-    ``1/s = 0``; each tie's removal at ``(n + k, n_o)``, which cancels
-    ``grounding_b``.
+    ``1/s = 0``; each tie's removal at ``(n + k, n_o)``, ``1/s = -1/g_k``,
+    which cancels it.
 
     ``grid`` is the final grid (switches keep their kind); ``switches`` maps
     switch ids to closed flags. ``closed`` lists the reference's closed
@@ -349,7 +351,6 @@ class ComposedUpdate:
         deltas: Sequence[tuple[int, float]] = (),
         switches: Mapping[int, bool] | None = None,
         splits: SplitSpec | Sequence[SplitSpec] = (),
-        grounding_b: float | None = None,
     ):
         grid, deltas = sys.grid, dict(ModificationSet(tuple(deltas)).entries)
         for bid, d in deltas.items():
@@ -364,12 +365,13 @@ class ComposedUpdate:
             for br in grid.branches
         )
         self.grid, resolved = _apply_splits(Grid(grid.buses, branches) if deltas else grid, splits)
-        g = grounding_b or float(sys.b.max(initial=0.0)) or 1.0
+        g = [sum(self.grid.branch(b).effective_susceptance for b in r.moved)
+             or float(sys.b.max(initial=0.0)) or 1.0 for r in resolved]
         n, n_o = sys.n, sys.n + len(resolved)
         C, coords = sys.B_inv, (sys.index_map, sys.branch_ends)
         if resolved:  # the new buses follow the base rows, in C and in the coordinates
             C = np.pad(sys.B_inv, (0, len(resolved)))
-            C[n:, n:] = np.eye(len(resolved)) / g
+            C[n:, n:] = np.diag(1.0 / np.array(g))
             coords = _grounded_coords(self.grid)
         self._sys = _system(self.grid, coords, C, sys.closed_switches)
         cols, s_inv = [], []  # (branch position, from, to) and 1/s per column
@@ -399,7 +401,7 @@ class ComposedUpdate:
         outage = any(self._sys.b[grid.branch_index[b]] == 0.0 for b in deltas)
         self._may_island = bool(resolved) or outage  # closures and other deltas keep every edge
         for k in range(len(resolved)):
-            column(-1, -g, (n + k, n_o))  # a tie is no branch of the final grid
+            column(-1, -g[k], (n + k, n_o))  # a tie is no branch of the final grid
         pos, *ends = np.array(cols, dtype=np.intp).reshape(-1, 3).T
         self.up = _LowRank(self._sys, pos, tuple(ends)) if cols else None
         self.s_inv = np.array(s_inv)
@@ -437,7 +439,7 @@ class ComposedUpdate:
         shifts = grid.shift_angles()
         theta_r = solve_angles(rec, _shifted_injections(grid, grid.injections(), shifts))
         theta, z = self.angles(theta_r)
-        f = rec.b * (_end_diff(rec.branch_ends, theta) + shifts)
+        f = compute_flows(rec, theta, shifts if shifts.any() else None).flows
         for e, k in self.switch_cols:
             f[e] += z[k]
         if rec.closed_switches:
@@ -454,13 +456,9 @@ class ComposedUpdate:
         return self.up.updated("modification set", self.s_inv)
 
 
-def idle_bus_split(
-    sys: GroundedSystem,
-    splits: SplitSpec | Sequence[SplitSpec],
-    grounding_b: float | None = None,
-) -> np.ndarray:
+def idle_bus_split(sys: GroundedSystem, splits: SplitSpec | Sequence[SplitSpec]) -> np.ndarray:
     """Open-grid inverse via rewiring branches onto idle buses: the
-    :class:`ComposedUpdate` of the splits alone. ``grounding_b`` cancels
-    exactly. Agrees with :func:`split_inverse`.
+    :class:`ComposedUpdate` of the splits alone, each idle bus tied at the
+    susceptance its split moves. Agrees with :func:`split_inverse`.
     """
-    return ComposedUpdate(sys, splits=splits, grounding_b=grounding_b).inverse()
+    return ComposedUpdate(sys, splits=splits).inverse()

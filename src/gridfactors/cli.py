@@ -197,26 +197,35 @@ def _load_modset(raw: str) -> dict:
     return doc
 
 
-def _split_from_doc(doc: dict) -> SplitSpec:
+def _id(v, key: bool = False) -> int:
+    """A bus or branch id of a modification JSON: a JSON integer (no bool), or
+    as an object key, always a string in JSON, a string of decimal digits."""
+    if not (v.isascii() and v.removeprefix("-").isdigit() if key else type(v) is int):
+        raise ValueError(f"id must be an integer, got {v!r}")
+    return int(v)
+
+
+def _splits_from_doc(doc: dict) -> list[SplitSpec]:
     from .bus_topology import SplitSpec
 
     try:
-        return SplitSpec(
-            parent_bus=int(doc["parent"]),
-            assignments={int(k): str(v) for k, v in doc.get("assignments", {}).items()},
-            new_bus=int(doc["new_bus"]) if "new_bus" in doc else None,
-            injection_to_new=(
-                float(doc["injection_to_new"]) if "injection_to_new" in doc else None
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return [
+            SplitSpec(
+                parent_bus=_id(d["parent"]),
+                assignments={_id(k, key=True): str(v) for k, v in d.get("assignments", {}).items()},
+                new_bus=_id(d["new_bus"]) if "new_bus" in d else None,
+                injection_to_new=float(d["injection_to_new"]) if "injection_to_new" in d else None,
+            )
+            for d in doc.get("splits", [])
+        ]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CaseParseError(f"bad split specification: {exc!r}")
 
 
 def _switches_from_doc(doc: dict) -> dict:
     """The ``switches`` entry of a modification JSON, keyed by integer id."""
     try:
-        return {int(k): v for k, v in doc.get("switches", {}).items()}
+        return {_id(k, key=True): v for k, v in doc.get("switches", {}).items()}
     except (AttributeError, TypeError, ValueError) as exc:
         raise CaseParseError(f"bad switch settings: {exc!r}")
 
@@ -227,11 +236,11 @@ def _composed_update(doc: dict, sys: GroundedSystem) -> ComposedUpdate:
     from .multi_mod import SwitchStates
 
     try:
-        deltas = [(int(d["branch"]), float(d["db"])) for d in doc.get("deltas", [])]
-    except (KeyError, TypeError, ValueError) as exc:
+        deltas = [(_id(d["branch"]), float(d["db"])) for d in doc.get("deltas", [])]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CaseParseError(f"bad susceptance delta: {exc!r}")
     states = SwitchStates.from_mapping(_switches_from_doc(doc))
-    splits = [_split_from_doc(d) for d in doc.get("splits", [])]
+    splits = _splits_from_doc(doc)
     return ComposedUpdate(sys, deltas, dict(zip(states.switches, states.closed)), splits)
 
 

@@ -85,18 +85,17 @@ class SwitchStates:
 
     @classmethod
     def from_mapping(cls, states: Mapping[int, str | bool]) -> "SwitchStates":
+        """Settings from ``{switch id: "open" | "closed" | bool}``; any other state raises."""
         switches = tuple(sorted(states))
         closed = []
         for s in switches:
             v = states[s]
-            if isinstance(v, str):
-                if v not in ("open", "closed"):
-                    raise GridStructureError(
-                        f"switch {s}: state must be 'open' or 'closed', got {v!r}"
-                    )
+            if isinstance(v, (bool, np.bool_)):
+                closed.append(bool(v))
+            elif v in ("open", "closed"):
                 closed.append(v == "closed")
             else:
-                closed.append(bool(v))
+                raise GridStructureError(f"switch {s}: state must be 'open' or 'closed', got {v!r}")
         return cls(switches=switches, closed=tuple(closed))
 
 

@@ -252,6 +252,10 @@ def bench_update_vs_rebuild(
     if n_buses < 2 or n_mods < 0 or reps < 1:
         raise GridStructureError("benchmark parameters must be positive")
     grid = random_grid(seed, n_buses, avg_degree=3.0)
+    if n_mods > len(grid.branches):
+        raise GridStructureError(
+            f"benchmark asks for {n_mods} modifications; its grid has {len(grid.branches)} branches"
+        )
     sys = build_grounded_system(grid)
     rng = np.random.default_rng(seed + 1)
     candidates = [br.id for br in grid.branches]

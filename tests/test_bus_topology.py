@@ -475,12 +475,6 @@ def test_idle_bus_route_equals_padded_route(ww_sys):
     assert rel_fro(a, b) < 1e-8
 
 
-def test_idle_bus_grounding_value_cancels(ww_sys):
-    a = idle_bus_split(ww_sys, case6ww_split(), grounding_b=1.0)
-    b = idle_bus_split(ww_sys, case6ww_split(), grounding_b=37.5)
-    assert rel_fro(a, b) < 1e-10
-
-
 def test_idle_bus_empty_split_list(ww_sys):
     out = idle_bus_split(ww_sys, [])
     np.testing.assert_array_equal(out, ww_sys.B_inv)

@@ -225,6 +225,23 @@ def test_n1_respects_thread_env(ww_path, capsys, monkeypatch):
     assert rows1 == rows4
 
 
+def test_whatif_without_modifications_prints_zero_deltas_on_pst_grids(tmp_path, capsys):
+    # the update's flows and the base flows come from one formula, so an empty
+    # document changes no flow by roundoff, phase shifts or not
+    path = tmp_path / "pst.json"
+    for seed in range(10):
+        grid = random_grid(seed, 60, 2.6)
+        rng = np.random.default_rng(seed)
+        picks = set(rng.choice(len(grid.branches), size=5, replace=False).tolist())
+        branches = tuple(
+            replace(br, kind="pst", shift_angle=float(rng.normal(0.0, 0.1))) if e in picks else br
+            for e, br in enumerate(grid.branches))
+        path.write_text(grid_to_json(Grid(grid.buses, branches)))
+        assert main(["whatif", str(path), "--mods", "{}", "--format", "jsonl"]) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(rows) == len(branches) and all(r["delta"] == 0.0 for r in rows), seed
+
+
 def test_whatif_mixed_stages_match_oracle(tmp_path, capsys):
     # one susceptance delta, one switch closing and one bus split in a
     # single modification set, checked against a full rebuild
@@ -914,12 +931,34 @@ def _split(**spec):
          2, "error: unknown modification keys ['delta']"),
         (["n1", "ww", "--after", '{"split": [], "deltas": []}'],
          2, "error: unknown modification keys ['split']"),
+        (["whatif", "ww", "--mods", '{"splits": 5}'], 2, "error: bad split specification"),
+        (["n1", "ww", "--after", '{"splits": 5}'], 2, "error: bad split specification"),
+        (["whatif", "ww", "--mods", '{"splits": [{"parent": 2, "assignments": [1, 2]}]}'],
+         2, "error: bad split specification"),
+        (["whatif", "ww", "--mods", _split(parent=2.7)], 2, "error: bad split specification"),
+        (["whatif", "ww", "--mods", '{"deltas": [{"branch": 10.9, "db": 0.1}]}'],
+         2, "error: bad susceptance delta"),
+        (["whatif", "ww", "--mods", '{"switches": {"1": null}}'],
+         2, "error: switch 1: state must be 'open' or 'closed', got None"),
+        (["whatif", "ww", "--mods", '{"switches": {"1": []}}'],
+         2, "error: switch 1: state must be 'open' or 'closed', got []"),
+        (["whatif", "ww", "--mods", '{"switches": {"1": 1}}'],
+         2, "error: switch 1: state must be 'open' or 'closed', got 1"),
+        (["whatif", "ww", "--mods", '{"switches": {"1": null}}', "--enumerate"],
+         2, "error: switch 1: state must be 'open' or 'closed', got None"),
+        (["whatif", "ww", "--mods", '{"switches": {"1": 1}}', "--enumerate"],
+         2, "error: switch 1: state must be 'open' or 'closed', got 1"),
+        (["bench", "--n-buses", "5", "--mods", "100"],
+         2, "error: benchmark asks for 100 modifications"),
     ],
     ids=["after-islands", "enumerate-without-switches", "shift-not-a-number",
          "shift-without-angle", "shift-on-a-switch", "shift-unknown-branch", "mods-not-json",
          "mods-not-an-object", "split-parent-not-an-integer", "split-unknown-parent",
          "split-unknown-side", "split-existing-new-bus", "repeated-delta", "mods-unknown-key",
-         "after-unknown-key"],
+         "after-unknown-key", "splits-not-a-list", "after-splits-not-a-list",
+         "assignments-not-an-object", "split-parent-fractional", "delta-branch-fractional",
+         "switch-state-null", "switch-state-empty-list", "switch-state-number",
+         "enumerate-switch-state-null", "enumerate-switch-state-number", "bench-too-many-mods"],
 )
 def test_input_errors_exit_with_their_code_and_message(argv, code, prefix, tmp_path, capsys):
     files = _exit_case_files(tmp_path)

@@ -139,6 +139,8 @@ CASES = {
                         GridStructureError, "cannot contract a bus with itself"),
     "bench-parameters": (lambda: bench_update_vs_rebuild(n_buses=1, n_mods=1),
                          GridStructureError, "benchmark parameters must be positive"),
+    "bench-more-mods-than-branches": (lambda: bench_update_vs_rebuild(n_buses=5, n_mods=100),
+                                      GridStructureError, "benchmark asks for 100 modifications"),
 }
 
 
